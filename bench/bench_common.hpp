@@ -36,10 +36,9 @@
 //   --fail-fast          abort the whole run on the first circuit failure
 //                        (default: failures are isolated into FAILED rows)
 //   --trace=FILE         emit a Chrome trace_event JSON of the run to FILE
-//   --via-scheduler      route the suite's circuit tasks through the serve
-//                        JobScheduler (admission control, fair dispatch,
-//                        transient-failure retries) instead of a bare
-//                        parallel_for; rows are bit-identical either way
+//
+// A malformed numeric value (--seed, --threads, --time-budget,
+// --per-circuit-budget) is a usage error, like an unknown flag: exit 2.
 #pragma once
 
 #include <algorithm>
@@ -49,15 +48,17 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/exit_codes.hpp"
 #include "core/uniscan.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
-#include "serve/suite_client.hpp"
 #include "sim/engine.hpp"
+#include "util/string_utils.hpp"
 #include "util/thread_pool.hpp"
 
 namespace uniscan::bench {
@@ -79,11 +80,22 @@ struct Args {
   double time_budget_secs = 0;
   double per_circuit_budget_secs = 0;
   bool fail_fast = false;
-  bool via_scheduler = false;  // --via-scheduler: thin-client JobScheduler path
   SatMode sat = SatMode::Off;  // --sat=off|second-chance|cross-check
   std::string trace;   // --trace=FILE: Chrome trace_event output
   std::string corpus;  // --corpus=fast|mid|large|all
 };
+
+/// The value of `--flag=VALUE` through the strict parser (util/string_utils);
+/// a malformed value exits 2 like an unknown flag.
+template <typename T>
+T flag_value(const std::string& arg, std::size_t prefix_len) {
+  const std::optional<T> v = parse_number<T>(std::string_view(arg).substr(prefix_len));
+  if (!v) {
+    std::fprintf(stderr, "bad value: %s\n", arg.c_str());
+    std::exit(2);
+  }
+  return *v;
+}
 
 inline Args parse_args(int argc, char** argv) {
   Args a;
@@ -94,9 +106,8 @@ inline Args parse_args(int argc, char** argv) {
     else if (arg.rfind("--circuit=", 0) == 0) a.circuit = arg.substr(10);
     else if (arg.rfind("--bench-dir=", 0) == 0) a.bench_dir = arg.substr(12);
     else if (arg.rfind("--json=", 0) == 0) a.json = arg.substr(7);
-    else if (arg.rfind("--seed=", 0) == 0) a.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    else if (arg.rfind("--threads=", 0) == 0)
-      a.threads = std::strtoull(arg.c_str() + 10, nullptr, 10);
+    else if (arg.rfind("--seed=", 0) == 0) a.seed = flag_value<std::uint64_t>(arg, 7);
+    else if (arg.rfind("--threads=", 0) == 0) a.threads = flag_value<std::uint64_t>(arg, 10);
     else if (arg == "--x-fill=zero") a.fill = XFillPolicy::ZeroFill;
     else if (arg == "--x-fill=random") a.fill = XFillPolicy::RandomFill;
     else if (arg.rfind("--engine=", 0) == 0) {
@@ -136,11 +147,10 @@ inline Args parse_args(int argc, char** argv) {
         std::exit(2);
       }
     } else if (arg.rfind("--time-budget=", 0) == 0)
-      a.time_budget_secs = std::strtod(arg.c_str() + 14, nullptr);
+      a.time_budget_secs = flag_value<double>(arg, 14);
     else if (arg.rfind("--per-circuit-budget=", 0) == 0)
-      a.per_circuit_budget_secs = std::strtod(arg.c_str() + 21, nullptr);
+      a.per_circuit_budget_secs = flag_value<double>(arg, 21);
     else if (arg == "--fail-fast") a.fail_fast = true;
-    else if (arg == "--via-scheduler") a.via_scheduler = true;
     else if (arg.rfind("--sat=", 0) == 0) {
       const auto mode = parse_sat_mode(arg.substr(6));
       if (!mode) {
@@ -410,26 +420,6 @@ inline std::string row_status(const TaskFailure& f) { return "FAILED(" + f.stage
 /// rows were still produced; CI asserts on this). Alias of the shared
 /// taxonomy in core/exit_codes.hpp.
 inline constexpr int kExitHadFailures = uniscan::kExitHadFailures;
-
-/// Suite fan-out dispatcher: the direct streaming path by default, the serve
-/// JobScheduler thin-client path under --via-scheduler. Both produce the
-/// same ordered row stream and identical row values — the scheduler only
-/// changes HOW tasks are dispatched (admission, fairness, retries), never
-/// what they compute (serve/suite_client.hpp).
-template <typename Fn, typename Emit>
-auto run_suite_rows(const Args& a, const std::vector<SuiteEntry>& suite, Fn&& fn, Emit&& emit,
-                    bool fail_fast = false) {
-  if (!a.via_scheduler)
-    return run_suite_tasks_streaming(suite, std::forward<Fn>(fn), std::forward<Emit>(emit),
-                                     fail_fast);
-  serve::JobScheduler::Options opt;
-  // The whole suite is submitted up front by one tenant: size the queue so
-  // admission control never sheds the bench's own rows.
-  opt.max_queue_per_tenant = std::max<std::size_t>(suite.size(), 1);
-  serve::JobScheduler sched(opt);
-  return serve::run_suite_tasks_scheduled(sched, suite, std::forward<Fn>(fn),
-                                          std::forward<Emit>(emit), fail_fast);
-}
 
 /// Print isolated failures to stderr, one structured line each.
 inline void print_failures(const std::vector<TaskFailure>& failures) {

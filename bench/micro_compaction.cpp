@@ -5,11 +5,14 @@
 // flags) to size the global fault-simulation pool.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "core/uniscan.hpp"
 #include "sim/engine.hpp"
+#include "util/string_utils.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace uniscan;
@@ -145,8 +148,12 @@ int main(int argc, char** argv) {
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      const std::size_t n = std::strtoull(argv[i] + 10, nullptr, 10);
-      uniscan::ThreadPool::set_global_threads(n == 0 ? 1 : n);
+      const auto n = uniscan::parse_number<std::uint64_t>(argv[i] + 10);
+      if (!n) {
+        std::fprintf(stderr, "bad value: %s\n", argv[i]);
+        return 2;
+      }
+      uniscan::ThreadPool::set_global_threads(*n == 0 ? 1 : *n);
     } else {
       argv[kept++] = argv[i];
     }

@@ -98,15 +98,9 @@ int main(int argc, char** argv) {
     CircuitRows r;
     try {
       r = run_circuit(entry, args, cfg, json, entry.name == "s27" ? &s27_table : nullptr);
-    } catch (const StageError& e) {
+    } catch (...) {
       if (cfg.fail_fast) throw;
-      failures.push_back(TaskFailure{entry.name, e.stage(), e.what()});
-      summary.add_row({entry.name, "-", "-", "-", "-", bench::row_status(failures.back())});
-      json.add_failure(failures.back());
-      continue;
-    } catch (const std::exception& e) {
-      if (cfg.fail_fast) throw;
-      failures.push_back(TaskFailure{entry.name, "unknown", e.what()});
+      failures.push_back(current_task_failure(entry.name));
       summary.add_row({entry.name, "-", "-", "-", "-", bench::row_status(failures.back())});
       json.add_failure(failures.back());
       continue;

@@ -97,11 +97,12 @@ void append_vectors(std::ostream& os, const TestSequence& seq) {
   }
 }
 
-/// Digest body over prebuilt pieces; both public overloads funnel here so
-/// cached-artifact digests are byte-identical to cold ones.
-CircuitDigest digest_impl(const std::string& name, const ScanCircuit& sc, const FaultList& full,
-                          const DigestOptions& opt) {
-  FaultList fl = full;
+}  // namespace
+
+CircuitDigest compute_circuit_digest(const Netlist& c, const DigestOptions& opt) {
+  const std::string& name = c.name();
+  const ScanCircuit sc = insert_scan(c);
+  FaultList fl = FaultList::collapsed(sc.netlist);
   const std::size_t collapsed = fl.size();
   if (opt.max_faults > 0 && fl.size() > opt.max_faults) fl = fl.prefix(opt.max_faults);
 
@@ -144,18 +145,6 @@ CircuitDigest digest_impl(const std::string& name, const ScanCircuit& sc, const 
   d.canonical_text = os.str();
   d.sha_hex = sha256_hex(d.canonical_text);
   return d;
-}
-
-}  // namespace
-
-CircuitDigest compute_circuit_digest(const Netlist& c, const DigestOptions& opt) {
-  const ScanCircuit sc = insert_scan(c);
-  const FaultList fl = FaultList::collapsed(sc.netlist);
-  return digest_impl(c.name(), sc, fl, opt);
-}
-
-CircuitDigest compute_circuit_digest(const CircuitArtifacts& a, const DigestOptions& opt) {
-  return digest_impl(a.circuit, *a.scan, *a.faults, opt);
 }
 
 CircuitDigest compute_corpus_digest(const CorpusRegistry& reg, const CorpusEntry& e) {

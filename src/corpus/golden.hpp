@@ -55,14 +55,6 @@ struct CircuitDigest {
 /// Run the pipeline on `c` under `opt` and canonicalize the results.
 CircuitDigest compute_circuit_digest(const Netlist& c, const DigestOptions& opt);
 
-/// Same digest from prebuilt artifacts (scan netlist + FULL collapsed fault
-/// list, single-chain — the digest's fixed scan configuration). Produces
-/// byte-identical canonical text to the Netlist overload: the serve layer's
-/// warm-cache acceptance check compares these directly against the golden
-/// `.ans.sha` files.
-struct CircuitArtifacts;
-CircuitDigest compute_circuit_digest(const CircuitArtifacts& a, const DigestOptions& opt);
-
 /// Load a corpus entry (hash-verified) and digest it under its tier profile.
 CircuitDigest compute_corpus_digest(const CorpusRegistry& reg, const CorpusEntry& e);
 

@@ -34,11 +34,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::LanesReclaimed: return "lanes_reclaimed";
     case Counter::FaultsCollapsed: return "faults_collapsed";
     case Counter::LiveFaultsPeak: return "live_faults_peak";
-    case Counter::CacheHits: return "cache_hits";
-    case Counter::CacheMisses: return "cache_misses";
-    case Counter::CacheQuarantined: return "cache_quarantined";
-    case Counter::JobsShed: return "jobs_shed";
-    case Counter::JobRetries: return "job_retries";
     case Counter::SatConflicts: return "sat_conflicts";
     case Counter::SatDecisions: return "sat_decisions";
     case Counter::SatPropagations: return "sat_propagations";

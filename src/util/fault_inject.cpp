@@ -1,94 +1,31 @@
 #include "util/fault_inject.hpp"
 
 #include <cstdlib>
-#include <mutex>
 #include <stdexcept>
-#include <vector>
+#include <string_view>
 
 namespace uniscan {
 
 namespace {
 
-constexpr std::string_view kMessagePrefix = "injected fault (UNISCAN_FAULT_INJECT=";
-
-struct Rule {
-  std::string circuit;
-  std::string stage;
-  long remaining = -1;  // -1 = unlimited; counts down to 0 then inert
-  std::string spec;     // original text, for the exception message
-};
-
 /// Field match: exact, or prefix when the pattern ends in `*` (so `*` alone
-/// matches everything and `tenant2-*` matches one tenant's job family).
-bool field_matches(const std::string& pattern, const std::string& value) {
-  if (!pattern.empty() && pattern.back() == '*')
-    return value.compare(0, pattern.size() - 1, pattern, 0, pattern.size() - 1) == 0;
+/// matches everything).
+bool field_matches(std::string_view pattern, std::string_view value) {
+  if (!pattern.empty() && pattern.back() == '*') {
+    pattern.remove_suffix(1);
+    return value.substr(0, pattern.size()) == pattern;
+  }
   return pattern == value;
 }
 
-/// One `<circuit>:<stage>[:<count>]` spec. The stage is the field after the
-/// LAST colon (the historical rfind parse, so odd circuit names keep
-/// working) unless that field is all digits with two more colons in front —
-/// then it is the fire count. Malformed specs are inert, never fatal.
-void parse_spec(std::string_view spec, std::vector<Rule>& out) {
-  if (spec.empty()) return;
-  Rule r;
-  r.spec = std::string(spec);
-  std::string_view rest = spec;
-  const auto last = rest.rfind(':');
-  if (last == std::string_view::npos) return;
-  const std::string_view tail = rest.substr(last + 1);
-  const bool tail_is_count =
-      !tail.empty() && tail.find_first_not_of("0123456789") == std::string_view::npos &&
-      rest.substr(0, last).rfind(':') != std::string_view::npos;
-  if (tail_is_count) {
-    r.remaining = std::strtol(std::string(tail).c_str(), nullptr, 10);
-    rest = rest.substr(0, last);
-  }
-  const auto colon = rest.rfind(':');
-  if (colon == std::string_view::npos) return;
-  r.circuit = std::string(rest.substr(0, colon));
-  r.stage = std::string(rest.substr(colon + 1));
-  out.push_back(std::move(r));
-}
-
-/// Stateful spec registry: counts persist across calls for one env value and
-/// reset whenever the variable changes (the tests flip it between suite runs
-/// inside one process, so both the rules and their counts must follow it).
-class Registry {
- public:
-  void maybe_throw(const char* env, const std::string& circuit, const std::string& stage) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (env != env_cache_) {
-      env_cache_ = env;
-      rules_.clear();
-      std::string_view all(env_cache_);
-      while (!all.empty()) {
-        const auto semi = all.find(';');
-        parse_spec(all.substr(0, semi), rules_);
-        if (semi == std::string_view::npos) break;
-        all = all.substr(semi + 1);
-      }
-    }
-    for (Rule& r : rules_) {
-      if (r.remaining == 0) continue;
-      if (!field_matches(r.circuit, circuit)) continue;
-      if (!field_matches(r.stage, stage)) continue;
-      if (r.remaining > 0) --r.remaining;
-      throw std::runtime_error(std::string(kMessagePrefix) + r.spec + ") in stage '" + stage +
-                               "' of circuit '" + circuit + "'");
-    }
-  }
-
- private:
-  std::mutex mu_;
-  std::string env_cache_;
-  std::vector<Rule> rules_;
-};
-
-Registry& registry() {
-  static Registry r;
-  return r;
+/// One `<circuit>:<stage>` spec. The stage is the field after the LAST
+/// colon, so circuit names may contain colons. Malformed specs are inert,
+/// never fatal.
+bool spec_matches(std::string_view spec, const std::string& circuit, const std::string& stage) {
+  const auto colon = spec.rfind(':');
+  if (colon == std::string_view::npos) return false;
+  return field_matches(spec.substr(0, colon), circuit) &&
+         field_matches(spec.substr(colon + 1), stage);
 }
 
 }  // namespace
@@ -98,11 +35,16 @@ void maybe_inject_fault(const std::string& circuit, const std::string& stage) {
   // suite runs inside one process, so a cached value would go stale.
   const char* env = std::getenv("UNISCAN_FAULT_INJECT");
   if (!env || !*env) return;
-  registry().maybe_throw(env, circuit, stage);
-}
-
-bool is_injected_fault_message(std::string_view what) noexcept {
-  return what.substr(0, kMessagePrefix.size()) == kMessagePrefix;
+  std::string_view all(env);
+  while (!all.empty()) {
+    const auto semi = all.find(';');
+    const std::string_view spec = all.substr(0, semi);
+    if (spec_matches(spec, circuit, stage))
+      throw std::runtime_error("injected fault (UNISCAN_FAULT_INJECT=" + std::string(spec) +
+                               ") in stage '" + stage + "' of circuit '" + circuit + "'");
+    if (semi == std::string_view::npos) break;
+    all.remove_prefix(semi + 1);
+  }
 }
 
 }  // namespace uniscan

@@ -1,6 +1,7 @@
 #include "util/string_utils.hpp"
 
 #include <cctype>
+#include <charconv>
 
 namespace uniscan {
 
@@ -38,5 +39,21 @@ std::string excerpt(std::string_view s, std::size_t max_len) {
   if (s.size() <= max_len) return std::string(s);
   return std::string(s.substr(0, max_len)) + "...";
 }
+
+template <typename T>
+std::optional<T> parse_number(std::string_view s) noexcept {
+  // A leading digit (or '.' for "0.5"-style seconds) rules out signs,
+  // spaces, "inf" and "nan" before from_chars sees them.
+  if (s.empty() || !(std::isdigit(static_cast<unsigned char>(s[0])) || s[0] == '.'))
+    return std::nullopt;
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return v;
+}
+
+template std::optional<std::uint64_t> parse_number(std::string_view) noexcept;
+template std::optional<double> parse_number(std::string_view) noexcept;
 
 }  // namespace uniscan

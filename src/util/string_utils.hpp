@@ -1,6 +1,9 @@
-// Small string helpers used by the .bench parser and table writers.
+// Small string helpers used by the .bench parser, table writers and flag
+// parsers.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,5 +28,13 @@ std::string to_upper(std::string_view s);
 /// input is cut and suffixed with "..." so a corrupt multi-megabyte line
 /// cannot explode a diagnostic.
 std::string excerpt(std::string_view s, std::size_t max_len = 48);
+
+/// Strict value of a numeric command-line flag: the whole of `s` must be a
+/// non-negative decimal number that fits T. Empty input, a sign, spaces,
+/// trailing junk ("4x"), "inf"/"nan" and out-of-range values all yield
+/// nullopt, so callers can reject them as usage errors instead of reading
+/// them as 0. T is std::uint64_t (counts, seeds) or double (seconds).
+template <typename T>
+std::optional<T> parse_number(std::string_view s) noexcept;
 
 }  // namespace uniscan

@@ -3,14 +3,25 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
+#include "util/string_utils.hpp"
+
 #ifndef UNISCAN_CLI_PATH
 #define UNISCAN_CLI_PATH ""
+#endif
+#ifndef UNISCAN_CORPUS_TOOL_PATH
+#define UNISCAN_CORPUS_TOOL_PATH ""
+#endif
+// Set only when the table binaries are built (UNISCAN_BUILD_BENCH).
+#ifndef UNISCAN_TABLE6_PATH
+#define UNISCAN_TABLE6_PATH ""
 #endif
 
 namespace {
@@ -26,9 +37,12 @@ std::string scratch_path(const std::string& name) {
   return ::testing::TempDir() + "cli_" + std::to_string(::getpid()) + "_" + name;
 }
 
-RunResult run_cli(const std::string& args) {
+/// Run `binary args` through the shell (so `args` may carry redirections
+/// and `env` may hold `VAR=value` assignments) and capture its output.
+RunResult run_binary(const std::string& binary, const std::string& args,
+                     const std::string& env = {}) {
   const std::string out_path = scratch_path("out.txt");
-  const std::string cmd = std::string(UNISCAN_CLI_PATH) + " " + args + " > " + out_path + " 2>&1";
+  const std::string cmd = env + " " + binary + " " + args + " > " + out_path + " 2>&1";
   const int status = std::system(cmd.c_str());
   std::ifstream f(out_path);
   std::stringstream ss;
@@ -36,6 +50,8 @@ RunResult run_cli(const std::string& args) {
   std::remove(out_path.c_str());
   return {WEXITSTATUS(status), ss.str()};
 }
+
+RunResult run_cli(const std::string& args) { return run_binary(UNISCAN_CLI_PATH, args); }
 
 std::string write_demo_bench() {
   const std::string path = scratch_path("demo.bench");
@@ -210,64 +226,87 @@ TEST_F(CliFlow, GenerateUnderExpiredBudgetDegradesGracefully) {
 }
 
 // Exit-code taxonomy (core/exit_codes.hpp), shared with the table binaries:
-// 0 success, 1 runtime error, 2 usage, 4 isolated job failures (serve),
-// 5 overload/shed (serve). Scripts branch on WHAT went wrong.
+// 0 success, 1 runtime error, 2 usage, 3 internal error, 4 isolated
+// per-circuit failures (table binaries only). Scripts branch on WHAT went
+// wrong.
 TEST_F(CliFlow, ExitCodeTaxonomy) {
   EXPECT_EQ(run_cli("stats " + bench_).exit_code, 0);
   EXPECT_EQ(run_cli("stats /nonexistent.bench").exit_code, 1);
   EXPECT_EQ(run_cli("").exit_code, 2);
   EXPECT_EQ(run_cli("stats " + bench_ + " --no-such-flag").exit_code, 2);
   EXPECT_EQ(run_cli("no-such-command").exit_code, 2);
+  // A malformed numeric value is a usage error too: never read as 0, never
+  // ignored, never left for a later stage to trip over.
+  for (const char* flag : {"--time-budget=abc", "--time-budget=-1", "--time-budget=",
+                           "--chains=abc", "--chains=-2", "--seed=7x", "--seed=-3",
+                           "--window=two"})
+    EXPECT_EQ(run_cli("generate " + bench_ + " " + flag).exit_code, 2) << flag;
 }
 
-/// Pipe `lines` into `uniscan_cli serve` on stdin and capture the response.
-RunResult run_serve_mode(const std::string& flags, const std::string& lines) {
-  const std::string in_path = scratch_path("serve_in.jsonl");
-  {
-    std::ofstream f(in_path);
-    f << lines;
+// The serve command, its alias and its flags are gone; --threads went with
+// them (serve was the only command that applied it). Each is now as unknown
+// as any other word.
+TEST_F(CliFlow, ServeCommandAndItsFlagsAreUnknown) {
+  EXPECT_EQ(run_cli("serve").exit_code, 2);
+  EXPECT_EQ(run_cli("--serve").exit_code, 2);
+  for (const char* flag : {"--threads=2", "--cache-dir=/tmp", "--cache-bytes=1024",
+                           "--max-queue=4", "--retries=1", "--backoff-ms=5",
+                           "--default-budget=1"})
+    EXPECT_EQ(run_cli("stats " + bench_ + " " + flag).exit_code, 2) << flag;
+}
+
+TEST_F(CliFlow, CorpusToolExitCodes) {
+  const std::string tool = UNISCAN_CORPUS_TOOL_PATH;
+  if (tool.empty()) GTEST_SKIP() << "corpus_tool path not configured";
+  const RunResult ok = run_binary(tool, "--threads=2 list fast");
+  EXPECT_EQ(ok.exit_code, 0) << ok.output;
+  EXPECT_NE(ok.output.find("s27"), std::string::npos) << ok.output;
+  EXPECT_EQ(run_binary(tool, "").exit_code, 2);
+  for (const char* flag : {"--threads=four", "--threads=-1", "--threads=", "--threads=2x"}) {
+    const RunResult r = run_binary(tool, std::string(flag) + " list fast");
+    EXPECT_EQ(r.exit_code, 2) << flag;
+    EXPECT_NE(r.output.find("bad value"), std::string::npos) << flag << ": " << r.output;
   }
-  RunResult r = run_cli("serve " + flags + " < " + in_path);
-  std::remove(in_path.c_str());
-  return r;
 }
 
-TEST_F(CliFlow, ServeModeAnswersJobsAndExitsZero) {
-  const RunResult r = run_serve_mode(
-      "--threads=2",
-      R"({"op":"ping","id":"p"})"
-      "\n"
-      R"({"op":"generate","id":"g","bench":"INPUT(a)\nOUTPUT(o)\nf0 = DFF(a)\no = AND(a, f0)\n"})"
-      "\n"
-      R"({"op":"shutdown"})"
-      "\n");
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("\"op\":\"ping\""), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("\"status\":\"done\""), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("\"cache\":\"built\""), std::string::npos) << r.output;
-}
-
-TEST_F(CliFlow, ServeModeFailedJobExitsFour) {
-  const RunResult r = run_serve_mode(
-      "", R"({"op":"generate","id":"bad","bench":"THIS IS NOT A BENCH FILE"})"
-          "\n"
-          R"({"op":"shutdown"})"
-          "\n");
+// The table binaries share the taxonomy: 2 for a malformed numeric flag,
+// 4 when the suite ran but a circuit failed in isolation (the row is
+// reported on stderr and the healthy rows still print).
+TEST_F(CliFlow, TableBinaryExitCodes) {
+  const std::string table6 = UNISCAN_TABLE6_PATH;
+  if (table6.empty()) GTEST_SKIP() << "table binaries not built";
+  EXPECT_EQ(run_binary(table6, "--circuits=s27").exit_code, 0);
+  for (const char* flag : {"--threads=four", "--seed=-1", "--time-budget=abc",
+                           "--per-circuit-budget=", "--threads=2x", "--no-such-flag"})
+    EXPECT_EQ(run_binary(table6, std::string("--circuits=s27 ") + flag).exit_code, 2) << flag;
+  const RunResult r =
+      run_binary(table6, "--circuits=s27,b01 --threads=2", "UNISCAN_FAULT_INJECT=b01:atpg");
   EXPECT_EQ(r.exit_code, 4) << r.output;
-  EXPECT_NE(r.output.find("\"status\":\"failed\""), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("FAILED circuit=b01 stage=atpg"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("s27"), std::string::npos) << r.output;
 }
 
-TEST_F(CliFlow, ServeModeOverloadExitsFive) {
-  // One-deep queue, dispatch paused: the second and third jobs are shed with
-  // an explicit reject; nothing failed, so the exit code reports overload.
-  std::string lines = R"({"op":"pause"})" "\n";
-  for (int i = 0; i < 3; ++i)
-    lines += R"({"op":"generate","id":"burst)" + std::to_string(i) +
-             R"(","bench":"INPUT(a)\nOUTPUT(o)\nf0 = DFF(a)\no = AND(a, f0)\n"})" "\n";
-  lines += R"({"op":"resume"})" "\n" R"({"op":"shutdown"})" "\n";
-  const RunResult r = run_serve_mode("--max-queue=1", lines);
-  EXPECT_EQ(r.exit_code, 5) << r.output;
-  EXPECT_NE(r.output.find("\"status\":\"shed\""), std::string::npos) << r.output;
+TEST(ParseNumber, AcceptsTheFullRangeOfItsType) {
+  EXPECT_EQ(uniscan::parse_number<std::uint64_t>("18446744073709551615"),
+            std::optional<std::uint64_t>(18446744073709551615ULL));
+  EXPECT_FALSE(uniscan::parse_number<std::uint64_t>("18446744073709551616"));
+  EXPECT_EQ(uniscan::parse_number<std::uint64_t>("007"), std::optional<std::uint64_t>(7));
+  EXPECT_EQ(uniscan::parse_number<double>("0"), std::optional<double>(0.0));
+  EXPECT_EQ(uniscan::parse_number<double>("1e308"), std::optional<double>(1e308));
+  EXPECT_EQ(uniscan::parse_number<double>("120"), std::optional<double>(120.0));
+}
+
+TEST(ParseNumber, AcceptsOnlyWholeNonNegativeNumbers) {
+  EXPECT_EQ(uniscan::parse_number<std::uint64_t>("42"), std::optional<std::uint64_t>(42));
+  EXPECT_EQ(uniscan::parse_number<std::uint64_t>("0"), std::optional<std::uint64_t>(0));
+  EXPECT_EQ(uniscan::parse_number<double>("2.5"), std::optional<double>(2.5));
+  EXPECT_EQ(uniscan::parse_number<double>(".5"), std::optional<double>(0.5));
+  EXPECT_EQ(uniscan::parse_number<double>("1e-6"), std::optional<double>(1e-6));
+  for (const char* bad : {"", "abc", "four", "4x", "4 ", " 4", "-1", "+1", "0x10", "1.5"})
+    EXPECT_FALSE(uniscan::parse_number<std::uint64_t>(bad)) << '"' << bad << '"';
+  EXPECT_FALSE(uniscan::parse_number<std::uint64_t>("99999999999999999999"));
+  for (const char* bad : {"", "abc", "-1", "-0", "1s", "inf", "nan", "1e999", " 1"})
+    EXPECT_FALSE(uniscan::parse_number<double>(bad)) << '"' << bad << '"';
 }
 
 }  // namespace

@@ -35,7 +35,8 @@ obs::CounterArray stuck_at_totals(std::size_t threads) {
   obs::reset();
   PipelineConfig cfg;
   cfg.run_baseline = false;
-  run_suite_generate_and_compact(small_suite(), cfg);
+  for (const auto& o : run_suite_generate_and_compact(small_suite(), cfg))
+    EXPECT_FALSE(o.failed()) << o.failure->circuit << ": " << o.failure->what;
   return obs::totals();
 }
 
@@ -44,14 +45,20 @@ obs::CounterArray transition_totals(std::size_t threads) {
   const PoolGuard pool(threads);
   obs::reset();
   const auto suite = small_suite();
-  run_suite_tasks(suite.size(), [&](std::size_t i) {
-    const ScanCircuit sc = insert_scan(load_circuit(suite[i]));
-    const auto faults = enumerate_transition_faults(sc.netlist);
-    const TransitionAtpgResult r = generate_transition_tests(sc, faults, {});
-    const CompactionResult rest = restoration_compact(sc.netlist, r.sequence, faults, {});
-    omission_compact(sc.netlist, rest.sequence, faults, {});
-    return 0;
-  });
+  const auto outcomes = run_suite_tasks(
+      suite,
+      [&](std::size_t i) {
+        const ScanCircuit sc = insert_scan(load_circuit(suite[i]));
+        const auto faults = enumerate_transition_faults(sc.netlist);
+        const TransitionAtpgResult r = generate_transition_tests(sc, faults, {});
+        const CompactionResult rest = restoration_compact(sc.netlist, r.sequence, faults, {});
+        return omission_compact(sc.netlist, rest.sequence, faults, {}).sequence.length();
+      },
+      [](std::size_t, const TaskOutcome<std::size_t>&) {});
+  for (const auto& o : outcomes) {
+    EXPECT_FALSE(o.failed()) << o.failure->circuit << ": " << o.failure->what;
+    EXPECT_GT(o.value, 0u);
+  }
   return obs::totals();
 }
 
@@ -99,7 +106,7 @@ IsolatedRun run_isolated(std::size_t threads) {
   PipelineConfig cfg;
   cfg.run_baseline = false;
   IsolatedRun r;
-  r.outcomes = run_suite_generate_and_compact_isolated(small_suite(), cfg);
+  r.outcomes = run_suite_generate_and_compact(small_suite(), cfg);
   r.totals = obs::totals();
   return r;
 }

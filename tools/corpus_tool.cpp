@@ -16,12 +16,14 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "corpus/corpus.hpp"
 #include "corpus/golden.hpp"
 #include "sim/engine.hpp"
 #include "util/sha256.hpp"
+#include "util/string_utils.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace uniscan;
@@ -147,8 +149,14 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--corpus-dir=", 0) == 0) corpus_dir = arg.substr(13);
-    else if (arg.rfind("--threads=", 0) == 0)
-      threads = std::strtoull(arg.c_str() + 10, nullptr, 10);
+    else if (arg.rfind("--threads=", 0) == 0) {
+      const auto n = parse_number<std::uint64_t>(std::string_view(arg).substr(10));
+      if (!n) {
+        std::fprintf(stderr, "bad value: %s\n", arg.c_str());
+        return 2;
+      }
+      threads = *n;
+    }
     else if (arg == "--text") print_text = true;
     else if (arg.rfind("--engine=", 0) == 0) {
       SimEngine engine;

@@ -13,15 +13,6 @@
 //   uniscan_cli classify    <circuit.bench> [--window=K]
 //   uniscan_cli export      <circuit.bench> <seq.useq> [--chains=N]
 //   uniscan_cli metrics     <circuit.bench> <seq.useq> [--chains=N]
-//   uniscan_cli serve       [--cache-dir=DIR] [--cache-bytes=N] [--max-queue=N]
-//                           [--retries=N] [--backoff-ms=MS] [--default-budget=SECS]
-//                           [--threads=N]
-//
-// `serve` (also spelled `--serve`) runs the resident job scheduler: one JSON
-// request per stdin line, one JSON response line per request on stdout (see
-// README "Service mode" for the schema). Compiled circuit artifacts are
-// cached across jobs — keyed by content hash, persisted under --cache-dir
-// when given — so repeat jobs skip parse/scan/collapse/compile.
 //
 // The circuit argument is always the NON-scan netlist; scan insertion
 // happens internally (--chains, default 1). Sequences are over the scan
@@ -40,25 +31,27 @@
 // writes a Chrome trace_event JSON of the run (load in chrome://tracing or
 // Perfetto).
 // Exit codes (core/exit_codes.hpp, shared with the table binaries): 0
-// success, 1 error (std::exception), 2 usage, 3 unexpected non-standard
-// exception, 4 isolated job failures (serve), 5 overload/shed (serve).
+// success, 1 error (std::exception), 2 usage (unknown command or flag, or a
+// malformed numeric value for --chains/--seed/--window/--time-budget), 3
+// unexpected non-standard exception. 4 (isolated per-circuit failures) is
+// only returned by the table binaries.
 #include <cstdio>
 #include <fstream>
 #include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "atpg/redundancy.hpp"
 #include "core/exit_codes.hpp"
 #include "core/uniscan.hpp"
 #include "obs/counters.hpp"
-#include "serve/serve_loop.hpp"
 #include "sim/engine.hpp"
 #include "obs/trace.hpp"
 #include "sim/sequence_io.hpp"
-#include "util/thread_pool.hpp"
+#include "util/string_utils.hpp"
 
 namespace {
 
@@ -81,40 +74,44 @@ struct CliArgs {
   bool repack = true;     // --repack=on|off: live-fault repacking (§5j)
   double time_budget_secs = 0;
   XFillPolicy fill = XFillPolicy::RandomFill;
-  // serve-only flags
-  std::string cache_dir;              // --cache-dir=DIR: persist artifacts
-  std::size_t cache_bytes = 0;        // --cache-bytes=N: RAM budget (0 = default)
-  std::size_t max_queue = 0;          // --max-queue=N: per-tenant bound (0 = default)
-  int retries = -1;                   // --retries=N: transient retry budget
-  double backoff_ms = -1;             // --backoff-ms=MS: backoff base
-  double default_budget_secs = 0;     // --default-budget=SECS: per-job deadline
-  std::size_t threads = 0;            // --threads=N: global pool size
 };
 
 int usage() {
   std::fprintf(stderr,
                "usage: uniscan_cli <stats|insert-scan|generate|compact|faultsim|baseline|"
-               "translate|classify|serve> <circuit.bench> [args] [flags]\n"
+               "translate|classify|export|metrics> <circuit.bench> [args] [flags]\n"
                "run with a command and no arguments for per-command flags\n");
   return kExitUsage;
+}
+
+/// Strict numeric flag value into `out`; false (after a message) when the
+/// value is malformed, which the caller turns into a usage error.
+template <typename T, typename U>
+bool flag_value(const std::string& arg, std::size_t prefix_len, U& out) {
+  const std::optional<T> v = parse_number<T>(std::string_view(arg).substr(prefix_len));
+  if (!v) {
+    std::fprintf(stderr, "bad value: %s\n", arg.c_str());
+    return false;
+  }
+  out = *v;
+  return true;
 }
 
 std::optional<CliArgs> parse(int argc, char** argv) {
   if (argc < 2) return std::nullopt;
   CliArgs a;
   a.command = argv[1];
-  if (a.command == "--serve") a.command = "serve";
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "-o") {
       if (++i >= argc) return std::nullopt;
       a.output = argv[i];
     } else if (arg.rfind("--chains=", 0) == 0) {
-      a.chains = std::strtoull(arg.c_str() + 9, nullptr, 10);
+      if (!flag_value<std::uint64_t>(arg, 9, a.chains)) return std::nullopt;
     } else if (arg.rfind("--seed=", 0) == 0) {
-      a.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      if (!flag_value<std::uint64_t>(arg, 7, a.seed)) return std::nullopt;
     } else if (arg.rfind("--window=", 0) == 0) {
-      a.window = std::strtoull(arg.c_str() + 9, nullptr, 10);
+      if (!flag_value<std::uint64_t>(arg, 9, a.window)) return std::nullopt;
     } else if (arg == "--no-scan-knowledge") {
       a.scan_knowledge = false;
     } else if (arg == "--json") {
@@ -133,7 +130,7 @@ std::optional<CliArgs> parse(int argc, char** argv) {
     } else if (arg == "--repack=off") {
       a.repack = false;
     } else if (arg.rfind("--time-budget=", 0) == 0) {
-      a.time_budget_secs = std::strtod(arg.c_str() + 14, nullptr);
+      if (!flag_value<double>(arg, 14, a.time_budget_secs)) return std::nullopt;
     } else if (arg == "--skip-restoration") {
       a.skip_restoration = true;
     } else if (arg == "--skip-omission") {
@@ -144,20 +141,6 @@ std::optional<CliArgs> parse(int argc, char** argv) {
       a.fill = XFillPolicy::ZeroFill;
     } else if (arg == "--x-fill=repeat") {
       a.fill = XFillPolicy::RepeatFill;
-    } else if (arg.rfind("--cache-dir=", 0) == 0) {
-      a.cache_dir = arg.substr(12);
-    } else if (arg.rfind("--cache-bytes=", 0) == 0) {
-      a.cache_bytes = std::strtoull(arg.c_str() + 14, nullptr, 10);
-    } else if (arg.rfind("--max-queue=", 0) == 0) {
-      a.max_queue = std::strtoull(arg.c_str() + 12, nullptr, 10);
-    } else if (arg.rfind("--retries=", 0) == 0) {
-      a.retries = static_cast<int>(std::strtol(arg.c_str() + 10, nullptr, 10));
-    } else if (arg.rfind("--backoff-ms=", 0) == 0) {
-      a.backoff_ms = std::strtod(arg.c_str() + 13, nullptr);
-    } else if (arg.rfind("--default-budget=", 0) == 0) {
-      a.default_budget_secs = std::strtod(arg.c_str() + 17, nullptr);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      a.threads = std::strtoull(arg.c_str() + 10, nullptr, 10);
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return std::nullopt;
@@ -318,19 +301,6 @@ int cmd_metrics(const CliArgs& a) {
   return 0;
 }
 
-int cmd_serve(const CliArgs& a) {
-  if (a.threads > 0) ThreadPool::set_global_threads(a.threads);
-  serve::ServeOptions opt;
-  if (!a.cache_dir.empty()) opt.cache.disk_dir = a.cache_dir;
-  if (a.cache_bytes > 0) opt.cache.max_ram_bytes = a.cache_bytes;
-  if (a.max_queue > 0) opt.sched.max_queue_per_tenant = a.max_queue;
-  if (a.retries >= 0) opt.sched.max_retries = a.retries;
-  if (a.backoff_ms >= 0) opt.sched.backoff_base_ms = a.backoff_ms;
-  if (a.default_budget_secs > 0) opt.sched.default_budget_secs = a.default_budget_secs;
-  opt.sched.parent = cli_token(a);
-  return serve::run_serve(std::cin, std::cout, opt);
-}
-
 int cmd_classify(const CliArgs& a) {
   const Netlist c = read_bench_file(a.positional.at(0));
   const ScanCircuit sc = insert_scan(c, a.chains);
@@ -413,7 +383,6 @@ int run_command(const CliArgs& args) {
   if (args.command == "classify") return need(1), cmd_classify(args);
   if (args.command == "export") return need(2), cmd_export(args);
   if (args.command == "metrics") return need(2), cmd_metrics(args);
-  if (args.command == "serve") return cmd_serve(args);
   return usage();
 }
 
