@@ -8,9 +8,6 @@
 //   --no-scan-knowledge  disable the Section-2 functional scan knowledge
 //   --x-fill=random|zero translation x-fill policy
 //   --threads=N          size of the global fault-simulation thread pool
-//   --engine=E           simulation engine: compiled (default) | levelized
-//                        | event (see sim/engine.hpp)
-//   --no-cone-pruning    disable per-batch observation-cone pruning
 //   --slot-width=W       simulation slot width: 64 | 256 | 512 | auto
 //                        (default auto: widest SIMD the build and CPU
 //                        support; see sim/slot_word.hpp). With --repack=on
@@ -73,8 +70,6 @@ struct Args {
   std::uint64_t seed = 1;
   std::size_t threads = 1;
   XFillPolicy fill = XFillPolicy::RandomFill;
-  SimEngine engine = SimEngine::Compiled;
-  bool cone_pruning = true;
   bool repack = true;
   SlotWidth slot_width = SlotWidth::Auto;
   double time_budget_secs = 0;
@@ -110,12 +105,6 @@ inline Args parse_args(int argc, char** argv) {
     else if (arg.rfind("--threads=", 0) == 0) a.threads = flag_value<std::uint64_t>(arg, 10);
     else if (arg == "--x-fill=zero") a.fill = XFillPolicy::ZeroFill;
     else if (arg == "--x-fill=random") a.fill = XFillPolicy::RandomFill;
-    else if (arg.rfind("--engine=", 0) == 0) {
-      if (!parse_sim_engine(arg.substr(9), a.engine)) {
-        std::fprintf(stderr, "unknown engine: %s (compiled|levelized|event)\n", arg.c_str() + 9);
-        std::exit(2);
-      }
-    } else if (arg == "--no-cone-pruning") a.cone_pruning = false;
     else if (arg.rfind("--repack=", 0) == 0) {
       const std::string v = arg.substr(9);
       if (v == "on") a.repack = true;
@@ -168,8 +157,6 @@ inline Args parse_args(int argc, char** argv) {
   }
   if (a.threads == 0) a.threads = 1;
   ThreadPool::set_global_threads(a.threads);
-  set_global_sim_engine(a.engine);
-  set_global_cone_pruning(a.cone_pruning);
   set_global_repack(a.repack);
   set_global_slot_width(a.slot_width);
   if (!a.trace.empty()) obs::Tracer::start(a.trace);

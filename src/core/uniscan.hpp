@@ -29,19 +29,15 @@
 #include "corpus/golden.hpp"
 #include "core/metrics.hpp"
 #include "core/report.hpp"
-#include "diag/diagnosis.hpp"
 #include "fault/fault_list.hpp"
 #include "netlist/bench_io.hpp"
-#include "netlist/verilog_io.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/netlist.hpp"
 #include "scan/scan_insertion.hpp"
 #include "scan/scan_test.hpp"
-#include "atpg/ndetect.hpp"
 #include "atpg/redundancy.hpp"
 #include "atpg/transition_atpg.hpp"
 #include "sim/transition_sim.hpp"
-#include "sim/event_sim.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/fault_sim_session.hpp"
 #include "sim/sequence.hpp"

@@ -1,7 +1,6 @@
 #include "sim/compiled_netlist.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 namespace uniscan {
@@ -83,30 +82,6 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl) : nl_(&nl) {
 void CompiledNetlist::eval_full_v3(V3* values) const noexcept {
   detail::eval_type_runs<detail::V3Ops>(runs_, eval_order_.data(), fanin_off_.data(),
                                         fanin_ids_.data(), values);
-}
-
-void CompiledNetlist::eval_full_w3(W3* values) const noexcept {
-  detail::eval_type_runs<detail::W3Ops>(runs_, eval_order_.data(), fanin_off_.data(),
-                                        fanin_ids_.data(), values);
-}
-
-void CompiledNetlist::eval_runs_v3(std::span<const TypeRun> runs, const GateId* order,
-                                   V3* values) const noexcept {
-  detail::eval_type_runs<detail::V3Ops>(runs, order, fanin_off_.data(), fanin_ids_.data(), values);
-}
-
-void CompiledNetlist::eval_runs_w3(std::span<const TypeRun> runs, const GateId* order,
-                                   W3* values) const noexcept {
-  detail::eval_type_runs<detail::W3Ops>(runs, order, fanin_off_.data(), fanin_ids_.data(), values);
-}
-
-V3 CompiledNetlist::eval_gate_v3_at(GateId g, const V3* values) const noexcept {
-  return detail::eval_gate_generic<detail::V3Ops>(type_[g], fanin_ids_.data(), fanin_off_[g],
-                                                  fanin_off_[g + 1], values);
-}
-
-W3 CompiledNetlist::eval_gate_w3_at(GateId g, const W3* values) const noexcept {
-  return eval_gate_w3t_at<std::uint64_t>(g, values);
 }
 
 BatchProgram CompiledNetlist::build_program(std::span<const GateId> sites,

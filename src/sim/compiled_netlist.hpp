@@ -15,8 +15,9 @@
 //    per-gate vector-of-vectors Netlist accessor was removed in its favour).
 //
 // Any topological order yields the same per-net values, so re-sorting
-// within a level by type cannot change results: every engine built on the
-// kernel stays bit-identical to the pre-kernel engines (DESIGN.md §5e).
+// within a level by type cannot change results: every simulator built on
+// the kernel computes exactly what a per-gate topological loop computes
+// (DESIGN.md §5e).
 //
 // build_program() additionally compiles a per-batch *observation cone*: the
 // union fanout cone of a fault batch (closed over flip-flop crossings) plus
@@ -27,7 +28,6 @@
 // observable result.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -116,25 +116,13 @@ class CompiledNetlist {
   /// Evaluate the whole combinational core (boundary values already loaded
   /// into `values`, indexed by GateId) with the type-run kernel.
   void eval_full_v3(V3* values) const noexcept;
-  void eval_full_w3(W3* values) const noexcept;
 
   /// Evaluate type runs built over an arbitrary `order` array (e.g. a batch
-  /// program's pruned evaluation list) with the same kernel.
-  void eval_runs_v3(std::span<const TypeRun> runs, const GateId* order, V3* values) const noexcept;
-  void eval_runs_w3(std::span<const TypeRun> runs, const GateId* order, W3* values) const noexcept;
-
-  /// Width-generic form of eval_runs_w3: the same type-run kernel over any
-  /// slot word (see sim/slot_word.hpp). Defined after detail::eval_type_runs.
+  /// program's pruned evaluation list) with the same kernel, over any slot
+  /// word (see sim/slot_word.hpp). Defined after detail::eval_type_runs.
   template <class Word>
   void eval_runs_w3t(std::span<const TypeRun> runs, const GateId* order,
                      W3T<Word>* values) const noexcept;
-
-  /// Generic single-gate evaluation via the CSR tables (event engine and
-  /// forced-gate paths).
-  V3 eval_gate_v3_at(GateId g, const V3* values) const noexcept;
-  W3 eval_gate_w3_at(GateId g, const W3* values) const noexcept;
-  template <class Word>
-  W3T<Word> eval_gate_w3t_at(GateId g, const W3T<Word>* values) const noexcept;
 
   /// Compile a batch plan. `sites` are the gates where fault effects enter
   /// the circuit (the faulted gate itself, for stems and branches alike);
@@ -243,44 +231,6 @@ inline void eval_type_runs(std::span<const TypeRun> runs, const GateId* order,
   }
 }
 
-/// Single-gate evaluation over the CSR fanin arrays; the per-gate mirror of
-/// eval_type_runs, shared by the event engine and the forced-gate paths.
-template <typename Ops>
-inline typename Ops::value eval_gate_generic(GateType t, const GateId* ids, std::uint32_t lo,
-                                             std::uint32_t hi,
-                                             const typename Ops::value* v) noexcept {
-  using T = typename Ops::value;
-  switch (t) {
-    case GateType::Buf: return v[ids[lo]];
-    case GateType::Not: return Ops::not_(v[ids[lo]]);
-    case GateType::And:
-    case GateType::Nand: {
-      T acc = v[ids[lo]];
-      for (std::uint32_t k = lo + 1; k < hi; ++k) acc = Ops::and_(acc, v[ids[k]]);
-      return t == GateType::Nand ? Ops::not_(acc) : acc;
-    }
-    case GateType::Or:
-    case GateType::Nor: {
-      T acc = v[ids[lo]];
-      for (std::uint32_t k = lo + 1; k < hi; ++k) acc = Ops::or_(acc, v[ids[k]]);
-      return t == GateType::Nor ? Ops::not_(acc) : acc;
-    }
-    case GateType::Xor:
-    case GateType::Xnor: {
-      T acc = v[ids[lo]];
-      for (std::uint32_t k = lo + 1; k < hi; ++k) acc = Ops::xor_(acc, v[ids[k]]);
-      return t == GateType::Xnor ? Ops::not_(acc) : acc;
-    }
-    case GateType::Mux2: return Ops::mux(v[ids[lo]], v[ids[lo + 1]], v[ids[lo + 2]]);
-    case GateType::Const0: return Ops::zero();
-    case GateType::Const1: return Ops::one();
-    case GateType::Input:
-    case GateType::Dff: break;
-  }
-  assert(false && "eval of boundary gate");
-  return Ops::zero();
-}
-
 struct V3Ops {
   using value = V3;
   static V3 not_(V3 a) noexcept { return v3_not(a); }
@@ -292,8 +242,7 @@ struct V3Ops {
   static V3 one() noexcept { return V3::One; }
 };
 
-/// Logic primitives over any slot width; the uint64_t instantiation is the
-/// historical W3Ops.
+/// Logic primitives over any slot width.
 template <class Word>
 struct W3OpsT {
   using value = W3T<Word>;
@@ -306,8 +255,6 @@ struct W3OpsT {
   static value one() noexcept { return value::all_one(); }
 };
 
-using W3Ops = W3OpsT<std::uint64_t>;
-
 }  // namespace detail
 
 template <class Word>
@@ -315,13 +262,6 @@ inline void CompiledNetlist::eval_runs_w3t(std::span<const TypeRun> runs, const 
                                            W3T<Word>* values) const noexcept {
   detail::eval_type_runs<detail::W3OpsT<Word>>(runs, order, fanin_off_.data(), fanin_ids_.data(),
                                                values);
-}
-
-template <class Word>
-inline W3T<Word> CompiledNetlist::eval_gate_w3t_at(GateId g,
-                                                   const W3T<Word>* values) const noexcept {
-  return detail::eval_gate_generic<detail::W3OpsT<Word>>(type_[g], fanin_ids_.data(),
-                                                         fanin_off_[g], fanin_off_[g + 1], values);
 }
 
 }  // namespace uniscan

@@ -18,11 +18,19 @@ namespace uniscan {
 template <class Word>
 FaultSimulator::BatchRunnerT<Word>::BatchRunnerT(const CompiledNetlist& cnl,
                                                  std::span<const Fault> faults)
-    : cnl_(&cnl), nl_(&cnl.netlist()), faults_(faults), engine_(global_sim_engine()) {
+    : cnl_(&cnl), nl_(&cnl.netlist()), faults_(faults) {
   if (faults.size() > kSlots - 1) throw std::invalid_argument("BatchRunner: batch too large");
   const std::size_t n = cnl.num_gates();
   stem_.assign(n, Forcing{});
-  branch_head_.assign(n, -1);
+  // Branch (pin) faults, chained per gate; only the flat pin and DFF force
+  // tables built below read them.
+  struct BranchForce {
+    std::int16_t pin;
+    std::int32_t next;  // next BranchForce on the same gate, -1 ends
+    Forcing force;
+  };
+  std::vector<std::int32_t> branch_head(n, -1);
+  std::vector<BranchForce> branches;
 
   for (std::size_t i = 0; i < faults.size(); ++i) {
     const Fault& f = faults[i];
@@ -31,22 +39,19 @@ FaultSimulator::BatchRunnerT<Word>::BatchRunnerT(const CompiledNetlist& cnl,
     if (f.pin == kStemPin) {
       w_set(f.stuck_one ? stem_[f.gate].set1 : stem_[f.gate].set0, slot);
     } else {
-      // Per-gate intrusive chain instead of one flat list: lookup during
-      // simulation is O(branches on this gate), not O(branches in batch).
-      std::int32_t idx = branch_head_[f.gate];
-      while (idx >= 0 && branches_[static_cast<std::size_t>(idx)].pin != f.pin)
-        idx = branches_[static_cast<std::size_t>(idx)].next;
+      // Faults on the same pin share one entry of the gate's chain.
+      std::int32_t idx = branch_head[f.gate];
+      while (idx >= 0 && branches[static_cast<std::size_t>(idx)].pin != f.pin)
+        idx = branches[static_cast<std::size_t>(idx)].next;
       if (idx < 0) {
-        branches_.push_back(BranchForce{f.pin, branch_head_[f.gate], Forcing{}});
-        branch_head_[f.gate] = static_cast<std::int32_t>(branches_.size() - 1);
-        idx = branch_head_[f.gate];
+        branches.push_back(BranchForce{f.pin, branch_head[f.gate], Forcing{}});
+        branch_head[f.gate] = static_cast<std::int32_t>(branches.size() - 1);
+        idx = branch_head[f.gate];
       }
-      Forcing& force = branches_[static_cast<std::size_t>(idx)].force;
+      Forcing& force = branches[static_cast<std::size_t>(idx)].force;
       w_set(f.stuck_one ? force.set1 : force.set0, slot);
     }
   }
-
-  if (engine_ == SimEngine::Levelized) return;  // legacy path needs no program
 
   // Combinational gates carrying a branch (pin) injection leave the tight
   // type runs and are evaluated individually; a stem-only site keeps its
@@ -64,11 +69,11 @@ FaultSimulator::BatchRunnerT<Word>::BatchRunnerT(const CompiledNetlist& cnl,
     if (mark[f.gate]) continue;
     mark[f.gate] = 1;
     if (!is_combinational(cnl.type(f.gate))) continue;
-    if (branch_head_[f.gate] >= 0) forced_.push_back(f.gate);
+    if (branch_head[f.gate] >= 0) forced_.push_back(f.gate);
     else if (stem_[f.gate].any()) patched.push_back(f.gate);
   }
 
-  prog_ = cnl.build_program(sites, forced_, global_cone_pruning());
+  prog_ = cnl.build_program(sites, forced_, /*prune=*/true);
 
   // Level-ascending merge of the two fixup streams. A fixup at level L runs
   // after the type runs of level <= L (so a patch sees its own run-computed
@@ -101,9 +106,9 @@ FaultSimulator::BatchRunnerT<Word>::BatchRunnerT(const CompiledNetlist& cnl,
     pin_off_[k + 1] = pin_off_[k] + static_cast<std::uint32_t>(cnl.fanin_count(forced_[k]));
   pin_force_.assign(pin_off_.back(), Forcing{});
   for (std::size_t k = 0; k < forced_.size(); ++k) {
-    for (std::int32_t idx = branch_head_[forced_[k]]; idx >= 0;
-         idx = branches_[static_cast<std::size_t>(idx)].next) {
-      const BranchForce& b = branches_[static_cast<std::size_t>(idx)];
+    for (std::int32_t idx = branch_head[forced_[k]]; idx >= 0;
+         idx = branches[static_cast<std::size_t>(idx)].next) {
+      const BranchForce& b = branches[static_cast<std::size_t>(idx)];
       pin_force_[pin_off_[k] + static_cast<std::uint32_t>(b.pin)] = b.force;
     }
   }
@@ -116,31 +121,12 @@ FaultSimulator::BatchRunnerT<Word>::BatchRunnerT(const CompiledNetlist& cnl,
 
   dff_force_.assign(cnl.dffs().size(), Forcing{});
   for (std::size_t j = 0; j < cnl.dffs().size(); ++j) {
-    for (std::int32_t idx = branch_head_[cnl.dffs()[j]]; idx >= 0;
-         idx = branches_[static_cast<std::size_t>(idx)].next) {
-      const BranchForce& b = branches_[static_cast<std::size_t>(idx)];
+    for (std::int32_t idx = branch_head[cnl.dffs()[j]]; idx >= 0;
+         idx = branches[static_cast<std::size_t>(idx)].next) {
+      const BranchForce& b = branches[static_cast<std::size_t>(idx)];
       if (b.pin == 0) dff_force_[j] = b.force;
     }
   }
-
-  if (engine_ == SimEngine::Event) {
-    in_plan_.assign(n, 0);
-    for (const GateId g : prog_.eval) in_plan_[g] = 1;
-    for (const GateId g : forced_) in_plan_[g] = 1;
-    buckets_.assign(cnl.num_levels(), {});
-    queued_.assign(n, 0);
-  }
-}
-
-template <class Word>
-W3T<Word> FaultSimulator::BatchRunnerT<Word>::branch_force(GateId g, std::size_t pin,
-                                                           W3T<Word> w) const noexcept {
-  for (std::int32_t idx = branch_head_[g]; idx >= 0;
-       idx = branches_[static_cast<std::size_t>(idx)].next) {
-    const BranchForce& b = branches_[static_cast<std::size_t>(idx)];
-    if (b.pin == static_cast<std::int16_t>(pin)) return b.force.apply(w);
-  }
-  return w;
 }
 
 template <class Word>
@@ -196,16 +182,6 @@ W3T<Word> FaultSimulator::BatchRunnerT<Word>::eval_forced(std::size_t k,
 }
 
 template <class Word>
-void FaultSimulator::BatchRunnerT<Word>::enqueue_fanouts(GateId g) const {
-  for (const GateId fo : cnl_->fanouts(g)) {
-    if (!is_combinational(cnl_->type(fo))) continue;  // DFFs sampled at frame end
-    if (!in_plan_[fo] || queued_[fo]) continue;
-    queued_[fo] = 1;
-    buckets_[cnl_->level(fo)].push_back(fo);
-  }
-}
-
-template <class Word>
 SimBatchStateT<Word> FaultSimulator::BatchRunnerT<Word>::initial_state() const {
   State s;
   s.live = slot_mask_;
@@ -213,51 +189,23 @@ SimBatchStateT<Word> FaultSimulator::BatchRunnerT<Word>::initial_state() const {
   return s;
 }
 
-template <class Word>
-std::uint64_t FaultSimulator::BatchRunnerT<Word>::advance(State& s, const SequenceView& view,
-                                                          std::vector<W3T<Word>>& values,
-                                                          const AdvanceOptions& opt) const {
-  const std::size_t start_frame = s.frame;
-  const std::uint64_t evals = engine_ == SimEngine::Levelized
-                                  ? advance_levelized(s, view, values, opt)
-                                  : advance_kernel(s, view, values, opt);
-  // Single telemetry choke point: every fault-simulation consumer (one-shot
-  // runs, sessions, compaction trials) advances through here, so GateEvals
-  // needs no per-object plumbing. ConePruneHits counts the gate-word
-  // evaluations the pruned program avoided versus the full evaluation order
-  // over the frames actually entered (s.frame advanced past them both on
-  // completion and on early exit).
-  obs::count(obs::Counter::BatchesRun, 1);
-  obs::count(obs::Counter::GateEvals, evals);
-  if (prog_.pruned) {
-    const std::uint64_t frames = s.frame - start_frame;
-    const std::uint64_t full = cnl_->eval_order().size();
-    if (full > prog_.evals_per_frame)
-      obs::count(obs::Counter::ConePruneHits, frames * (full - prog_.evals_per_frame));
-  }
-  return evals;
-}
-
 namespace {
 
-/// Shared detection bookkeeping: fold the slots of `observed` (already
-/// masked to live slots) into the batch state at frame `t`, dropping each
-/// slot from `live` once it reaches `count_cap` observations.
+/// Detection bookkeeping: fold the slots of `observed` (already masked to
+/// live slots) into the batch state at frame `t`; an observed slot leaves
+/// `live`.
 template <class Word, class StateT>
-inline void record_detections(StateT& s, const Word& observed, std::size_t t,
-                              std::uint32_t count_cap) noexcept {
+inline void record_detections(StateT& s, const Word& observed, std::size_t t) noexcept {
   w_for_each_set(observed, [&](unsigned slot) {
-    if (!w_test(s.detected_slots, slot)) {
-      w_set(s.detected_slots, slot);
-      s.detect_time[slot] = static_cast<std::uint32_t>(t);
-    }
-    if (++s.detect_count[slot] >= count_cap) w_clear(s.live, slot);
+    w_set(s.detected_slots, slot);
+    s.detect_time[slot] = static_cast<std::uint32_t>(t);
+    w_clear(s.live, slot);
   });
 }
 
-/// Shared latch bookkeeping: slots of `w` (a DFF machine-pair entering frame
-/// t+1) whose known value opposes the known good value get recorded, keeping
-/// the occurrence deepest in the chain (fewest flush shifts).
+/// Latch bookkeeping: slots of `w` (a DFF machine-pair entering frame t+1)
+/// whose known value opposes the known good value get recorded, keeping the
+/// occurrence deepest in the chain (fewest flush shifts).
 template <class Word>
 inline void record_latches(const W3T<Word>& w, std::size_t j, std::size_t t,
                            std::span<LatchRecord> latched) noexcept {
@@ -280,21 +228,18 @@ inline void record_latches(const W3T<Word>& w, std::size_t j, std::size_t t,
 }  // namespace
 
 template <class Word>
-std::uint64_t FaultSimulator::BatchRunnerT<Word>::advance_kernel(
-    State& s, const SequenceView& view, std::vector<W3T<Word>>& values,
-    const AdvanceOptions& opt) const {
+std::uint64_t FaultSimulator::BatchRunnerT<Word>::advance(State& s, const SequenceView& view,
+                                                          std::vector<W3T<Word>>& values,
+                                                          const AdvanceOptions& opt) const {
   using W = W3T<Word>;
   const CompiledNetlist& cnl = *cnl_;
   values.resize(cnl.num_gates());
   const auto& inputs = cnl.inputs();
   const auto& dffs = cnl.dffs();
   const auto& dff_d = cnl.dff_d();
-  const bool event = engine_ == SimEngine::Event;
+  const std::size_t start_frame = s.frame;
   std::uint64_t evals = 0;
-  // The scratch is shared between runners on a worker thread, so the event
-  // engine's first frame of every advance is a full evaluation; later frames
-  // re-evaluate only the fanout cones of changed nets.
-  bool full = true;
+  bool exited = false;
 
   for (std::size_t t = s.frame; t < view.length(); ++t) {
     if (opt.checkpoints && t <= opt.capture_limit && opt.checkpoints->want(t)) {
@@ -302,102 +247,50 @@ std::uint64_t FaultSimulator::BatchRunnerT<Word>::advance_kernel(
       opt.checkpoints->save(opt.batch_index, s);
     }
 
+    // Boundary values (with stem forcing on PIs and sampled DFF outputs).
     const auto& vec = view.vector_at(t);
-    if (!event || full) {
-      full = false;
-      // Boundary values (with stem forcing on PIs and sampled DFF outputs).
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        const GateId pi = inputs[i];
-        values[pi] = stem_[pi].apply(W::broadcast(vec[i]));
-      }
-      for (const std::uint32_t j : prog_.samp_dff) {
-        const GateId ff = dffs[j];
-        values[ff] = stem_[ff].apply(s.state[j]);
-      }
-
-      // Type runs and fixups (individually-forced gates + stem patches),
-      // interleaved level-major: a fixup at level L runs after the runs of
-      // level <= L and before any run of a higher level (no combinational
-      // edges within a level, so the relative order inside a level is free).
-      std::size_t fi = 0, ri = 0;
-      const std::size_t nf = fix_idx_.size();
-      const std::size_t nr = prog_.runs.size();
-      while (ri < nr || fi < nf) {
-        const std::uint32_t fl =
-            fi < nf ? fix_level_[fi] : std::numeric_limits<std::uint32_t>::max();
-        std::size_t rj = ri;
-        while (rj < nr && prog_.runs[rj].level <= fl) ++rj;
-        if (rj > ri) {
-          cnl.eval_runs_w3t<Word>(std::span<const TypeRun>(prog_.runs.data() + ri, rj - ri),
-                                  prog_.eval.data(), values.data());
-          ri = rj;
-        }
-        const std::uint32_t rl =
-            ri < nr ? prog_.runs[ri].level : std::numeric_limits<std::uint32_t>::max();
-        while (fi < nf && fix_level_[fi] < rl) {
-          if (fix_patch_[fi]) {
-            const GateId g = fix_idx_[fi];
-            values[g] = stem_[g].apply(values[g]);
-          } else {
-            const std::size_t k = fix_idx_[fi];
-            values[forced_[k]] = eval_forced(k, values.data());
-          }
-          ++fi;
-        }
-      }
-      evals += prog_.evals_per_frame;
-    } else {
-      // Seed events from changed boundary values, then propagate by level.
-      // Stuck-at forcing is static, so unchanged fanins imply an unchanged
-      // (post-injection) output — forced gates need no special treatment.
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        const GateId pi = inputs[i];
-        const W w = stem_[pi].apply(W::broadcast(vec[i]));
-        if (!(w == values[pi])) {
-          values[pi] = w;
-          enqueue_fanouts(pi);
-        }
-      }
-      for (const std::uint32_t j : prog_.samp_dff) {
-        const GateId ff = dffs[j];
-        const W w = stem_[ff].apply(s.state[j]);
-        if (!(w == values[ff])) {
-          values[ff] = w;
-          enqueue_fanouts(ff);
-        }
-      }
-      for (auto& bucket : buckets_) {
-        // Draining may append to HIGHER buckets only (fanout level > level).
-        for (std::size_t k = 0; k < bucket.size(); ++k) {
-          const GateId g = bucket[k];
-          queued_[g] = 0;
-          ++evals;
-          W w;
-          if (branch_head_[g] >= 0 || stem_[g].any()) {
-            const auto fan = cnl.fanins(g);
-            W buf[64];
-            if (branch_head_[g] >= 0) {
-              for (std::size_t p = 0; p < fan.size(); ++p)
-                buf[p] = branch_force(g, p, values[fan[p]]);
-            } else {
-              for (std::size_t p = 0; p < fan.size(); ++p) buf[p] = values[fan[p]];
-            }
-            w = stem_[g].apply(eval_gate_w3(cnl.type(g), buf, fan.size()));
-          } else {
-            w = cnl.eval_gate_w3t_at<Word>(g, values.data());
-          }
-          if (!(w == values[g])) {
-            values[g] = w;
-            enqueue_fanouts(g);
-          }
-        }
-        bucket.clear();
-      }
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      const GateId pi = inputs[i];
+      values[pi] = stem_[pi].apply(W::broadcast(vec[i]));
+    }
+    for (const std::uint32_t j : prog_.samp_dff) {
+      const GateId ff = dffs[j];
+      values[ff] = stem_[ff].apply(s.state[j]);
     }
 
-    // Detection at the batch's observable primary outputs. A frame
-    // contributes at most one count per fault even if several outputs
-    // expose it.
+    // Type runs and fixups (individually-forced gates + stem patches),
+    // interleaved level-major: a fixup at level L runs after the runs of
+    // level <= L and before any run of a higher level (no combinational
+    // edges within a level, so the relative order inside a level is free).
+    std::size_t fi = 0, ri = 0;
+    const std::size_t nf = fix_idx_.size();
+    const std::size_t nr = prog_.runs.size();
+    while (ri < nr || fi < nf) {
+      const std::uint32_t fl =
+          fi < nf ? fix_level_[fi] : std::numeric_limits<std::uint32_t>::max();
+      std::size_t rj = ri;
+      while (rj < nr && prog_.runs[rj].level <= fl) ++rj;
+      if (rj > ri) {
+        cnl.eval_runs_w3t<Word>(std::span<const TypeRun>(prog_.runs.data() + ri, rj - ri),
+                                prog_.eval.data(), values.data());
+        ri = rj;
+      }
+      const std::uint32_t rl =
+          ri < nr ? prog_.runs[ri].level : std::numeric_limits<std::uint32_t>::max();
+      while (fi < nf && fix_level_[fi] < rl) {
+        if (fix_patch_[fi]) {
+          const GateId g = fix_idx_[fi];
+          values[g] = stem_[g].apply(values[g]);
+        } else {
+          const std::size_t k = fix_idx_[fi];
+          values[forced_[k]] = eval_forced(k, values.data());
+        }
+        ++fi;
+      }
+    }
+    evals += prog_.evals_per_frame;
+
+    // Detection at the batch's observable primary outputs.
     Word observed_this_frame{};
     for (const GateId po : prog_.obs_po) {
       const W w = values[po];
@@ -406,11 +299,12 @@ std::uint64_t FaultSimulator::BatchRunnerT<Word>::advance_kernel(
       if (good1) observed_this_frame = observed_this_frame | (w.v0 & s.live);
       else if (good0) observed_this_frame = observed_this_frame | (w.v1 & s.live);
     }
-    record_detections(s, observed_this_frame, t, opt.count_cap);
+    record_detections(s, observed_this_frame, t);
 
     if (opt.early_exit && !w_any(s.live)) {
       s.frame = t + 1;  // state was not clocked into frame t+1 — see header
-      return evals;
+      exited = true;
+      break;
     }
 
     // Next state of the sampled DFFs (with branch forcing on D pins).
@@ -429,88 +323,22 @@ std::uint64_t FaultSimulator::BatchRunnerT<Word>::advance_kernel(
         record_latches(s.state[j], j, t, opt.latched);
     }
   }
+  if (!exited) s.frame = view.length();
 
-  s.frame = view.length();
-  return evals;
-}
-
-template <class Word>
-std::uint64_t FaultSimulator::BatchRunnerT<Word>::advance_levelized(
-    State& s, const SequenceView& view, std::vector<W3T<Word>>& values,
-    const AdvanceOptions& opt) const {
-  using W = W3T<Word>;
-  const Netlist& nl = *nl_;
-  values.resize(nl.num_gates());
-  std::uint64_t frames = 0;
-  W fanin_buf[64];
-
-  for (std::size_t t = s.frame; t < view.length(); ++t) {
-    if (opt.checkpoints && t <= opt.capture_limit && opt.checkpoints->want(t)) {
-      s.frame = t;  // snapshot the state entering frame t
-      opt.checkpoints->save(opt.batch_index, s);
-    }
-
-    // Boundary values (with stem forcing on PIs and DFF outputs).
-    const auto& vec = view.vector_at(t);
-    for (std::size_t i = 0; i < nl.num_inputs(); ++i) {
-      const GateId pi = nl.inputs()[i];
-      values[pi] = stem_[pi].apply(W::broadcast(vec[i]));
-    }
-    for (std::size_t j = 0; j < nl.num_dffs(); ++j) {
-      const GateId ff = nl.dffs()[j];
-      values[ff] = stem_[ff].apply(s.state[j]);
-    }
-
-    // Combinational evaluation in topological order, one dispatch per gate
-    // (the pre-kernel algorithm, kept verbatim as a bisection baseline).
-    for (GateId g : nl.topo_order()) {
-      const Gate& gate = nl.gate(g);
-      const std::size_t n = gate.fanins.size();
-      if (branch_head_[g] >= 0) {
-        for (std::size_t p = 0; p < n; ++p)
-          fanin_buf[p] = branch_force(g, p, values[gate.fanins[p]]);
-      } else {
-        for (std::size_t p = 0; p < n; ++p) fanin_buf[p] = values[gate.fanins[p]];
-      }
-      values[g] = stem_[g].apply(eval_gate_w3(gate.type, fanin_buf, n));
-    }
-    ++frames;
-
-    // Detection at primary outputs. A frame contributes at most one count
-    // per fault even if several outputs expose it.
-    Word observed_this_frame{};
-    for (GateId po : nl.outputs()) {
-      const W w = values[po];
-      const bool good0 = w_bit0(w.v0);
-      const bool good1 = w_bit0(w.v1);
-      if (good1) observed_this_frame = observed_this_frame | (w.v0 & s.live);
-      else if (good0) observed_this_frame = observed_this_frame | (w.v1 & s.live);
-    }
-    record_detections(s, observed_this_frame, t, opt.count_cap);
-
-    if (opt.early_exit && !w_any(s.live)) {
-      s.frame = t + 1;  // state was not clocked into frame t+1 — see header
-      return frames * nl.topo_order().size();
-    }
-
-    // Next state (with branch forcing on DFF D pins).
-    for (std::size_t j = 0; j < nl.num_dffs(); ++j) {
-      const GateId ff = nl.dffs()[j];
-      W d = values[nl.gate(ff).fanins[0]];
-      if (branch_head_[ff] >= 0) d = branch_force(ff, 0, d);
-      s.state[j] = d;
-    }
-
-    // Latched fault effects: faulty slot differs (known vs opposite known)
-    // from the good machine in the state entering frame t+1.
-    if (!opt.latched.empty()) {
-      for (std::size_t j = 0; j < nl.num_dffs(); ++j)
-        record_latches(s.state[j], j, t, opt.latched);
-    }
+  // Single telemetry choke point: every fault-simulation consumer (one-shot
+  // runs, sessions, compaction trials) advances through here, so GateEvals
+  // needs no per-object plumbing. ConePruneHits counts the gate-word
+  // evaluations the pruned program avoided versus the full evaluation order
+  // over the frames actually entered.
+  obs::count(obs::Counter::BatchesRun, 1);
+  obs::count(obs::Counter::GateEvals, evals);
+  if (prog_.pruned) {
+    const std::uint64_t frames = s.frame - start_frame;
+    const std::uint64_t full = cnl.eval_order().size();
+    if (full > prog_.evals_per_frame)
+      obs::count(obs::Counter::ConePruneHits, frames * (full - prog_.evals_per_frame));
   }
-
-  s.frame = view.length();
-  return frames * nl.topo_order().size();
+  return evals;
 }
 
 template class FaultSimulator::BatchRunnerT<std::uint64_t>;
@@ -615,45 +443,6 @@ bool FaultSimulator::detects_all_impl(const SequenceView& view,
     ok = wave_ok.load(std::memory_order_relaxed);
   }
   return ok;
-}
-
-std::vector<std::uint32_t> FaultSimulator::run_counts(const TestSequence& seq,
-                                                      std::span<const Fault> faults,
-                                                      std::uint32_t cap) const {
-  return run_counts(SequenceView(seq), faults, cap);
-}
-
-std::vector<std::uint32_t> FaultSimulator::run_counts(const SequenceView& view,
-                                                      std::span<const Fault> faults,
-                                                      std::uint32_t cap) const {
-  switch (resolved_slot_width_for(faults.size())) {
-    case SlotWidth::W256: return run_counts_impl<Simd256>(view, faults, cap);
-    case SlotWidth::W512: return run_counts_impl<Simd512>(view, faults, cap);
-    default: return run_counts_impl<std::uint64_t>(view, faults, cap);
-  }
-}
-
-template <class Word>
-std::vector<std::uint32_t> FaultSimulator::run_counts_impl(const SequenceView& view,
-                                                           std::span<const Fault> faults,
-                                                           std::uint32_t cap) const {
-  constexpr std::size_t kPer = WordTraits<Word>::kBits - 1;
-  std::vector<std::uint32_t> counts(faults.size(), 0);
-  if (cap == 0) return counts;
-  const std::size_t num_batches = (faults.size() + kPer - 1) / kPer;
-  ThreadPool& pool = ThreadPool::global();
-  if (scratch_.size() < pool.num_workers()) scratch_.resize(pool.num_workers());
-  pool.parallel_for(num_batches, [&](std::size_t b, std::size_t w) {
-    const std::size_t base = b * kPer;
-    const std::size_t count = std::min<std::size_t>(kPer, faults.size() - base);
-    BatchRunnerT<Word> runner(*compiled_, faults.subspan(base, count));
-    SimBatchStateT<Word> s = runner.initial_state();
-    typename BatchRunnerT<Word>::AdvanceOptions opt;
-    opt.count_cap = cap;
-    runner.advance(s, view, scratch_for<Word>(w), opt);
-    for (std::size_t i = 0; i < count; ++i) counts[base + i] = s.detect_count[i + 1];
-  });
-  return counts;
 }
 
 std::vector<std::size_t> FaultSimulator::detected_indices(const TestSequence& seq,

@@ -22,12 +22,11 @@
 //    advance() resumes a SimBatchStateT at any frame (checkpoint restarts)
 //    over a copy-free SequenceView, and the net-value scratch is
 //    caller-provided so independent batches can run on different threads.
-//    The advance engine (compiled / levelized / event, see sim/engine.hpp)
-//    is latched from the process-wide setting at construction; all three
-//    produce bit-identical detections, latch records and sampled states —
-//    and so do all three widths, because batches never interact and every
-//    per-fault result is a pure function of that fault's slot.
-//  * FaultSimulator — the one-shot API (run / detects_all / run_counts),
+//    All three widths produce bit-identical detections, latch records and
+//    sampled states, because batches never interact and every per-fault
+//    result is a pure function of that fault's slot. The tests check every
+//    result against a serial single-fault reference simulator.
+//  * FaultSimulator — the one-shot API (run / detects_all),
 //    fanning its independent batches across ThreadPool::global() at the
 //    process-wide slot width (resolved_slot_width(), read per call).
 //    Results are bit-identical for every thread count: each batch writes
@@ -102,14 +101,6 @@ class FaultSimulator {
   std::vector<std::size_t> detected_indices(const TestSequence& seq,
                                             std::span<const Fault> faults) const;
 
-  /// Per-fault detection count, saturated at `cap`: the number of frames at
-  /// which the fault is observed at some primary output (at most one count
-  /// per frame). Used by the n-detect extension.
-  std::vector<std::uint32_t> run_counts(const TestSequence& seq, std::span<const Fault> faults,
-                                        std::uint32_t cap) const;
-  std::vector<std::uint32_t> run_counts(const SequenceView& view, std::span<const Fault> faults,
-                                        std::uint32_t cap) const;
-
   /// Incremental engine for one batch of up to kSlots-1 faults. The
   /// injection tables and the batch program are built once at construction;
   /// advance() is allocation-free. A runner may be shared across trials but
@@ -127,14 +118,10 @@ class FaultSimulator {
     /// Bits 1..faults().size() — the slots this batch must detect.
     Word slot_mask() const noexcept { return slot_mask_; }
 
-    /// Engine latched at construction from the process-wide setting.
-    SimEngine engine() const noexcept { return engine_; }
-    /// True when this batch's program skips out-of-cone gates.
-    bool pruned() const noexcept { return prog_.pruned; }
-    /// True if advance() maintains DFF j's next state. Always true without
-    /// pruning; under pruning false exactly for DFFs outside the batch's
-    /// cone-plus-support, whose state equals the good machine's by
-    /// construction (no fault effect can reach them).
+    /// True if advance() maintains DFF j's next state: false exactly for
+    /// DFFs outside the batch's cone-plus-support, whose state equals the
+    /// good machine's by construction (no fault effect can reach them). An
+    /// empty batch (the good machine alone) is never pruned.
     bool samples_dff(std::size_t j) const noexcept {
       return !prog_.pruned || prog_.dff_sampled[j] != 0;
     }
@@ -143,8 +130,7 @@ class FaultSimulator {
     State initial_state() const;
 
     struct AdvanceOptions {
-      bool early_exit = true;      // stop once no slot is live
-      std::uint32_t count_cap = 1; // observations until a slot leaves `live`
+      bool early_exit = true;  // stop once no slot is live
       std::span<LatchRecord> latched = {};  // one record per batch fault
       // Checkpoint capture: while simulating frames f <= capture_limit,
       // snapshot the state entering f whenever checkpoints->want(f).
@@ -175,42 +161,26 @@ class FaultSimulator {
         return W3T<Word>{(w.v0 & ~touched) | set0, (w.v1 & ~touched) | set1};
       }
     };
-    struct BranchForce {
-      std::int16_t pin;
-      std::int32_t next;  // next BranchForce on the same gate, -1 ends
-      Forcing force;
-    };
 
-    W3T<Word> branch_force(GateId g, std::size_t pin, W3T<Word> w) const noexcept;
-    // Hot: one call per forced gate per frame from advance_kernel's fixup
-    // loop; inlined there so the wide words never bounce through a
-    // by-hidden-pointer return.
+    // Hot: one call per forced gate per frame from advance()'s fixup loop;
+    // inlined there so the wide words never bounce through a by-hidden-
+    // pointer return.
     [[gnu::always_inline]]
     W3T<Word> eval_forced(std::size_t k, const W3T<Word>* values) const noexcept;
-    void enqueue_fanouts(GateId g) const;
-    std::uint64_t advance_levelized(State& s, const SequenceView& view,
-                                    std::vector<W3T<Word>>& values,
-                                    const AdvanceOptions& opt) const;
-    std::uint64_t advance_kernel(State& s, const SequenceView& view,
-                                 std::vector<W3T<Word>>& values,
-                                 const AdvanceOptions& opt) const;
 
     const CompiledNetlist* cnl_;
     const Netlist* nl_;
     std::span<const Fault> faults_;
     Word slot_mask_{};
-    SimEngine engine_;
     std::vector<Forcing> stem_;             // indexed by gate
-    std::vector<std::int32_t> branch_head_; // per gate: first branch entry or -1
-    std::vector<BranchForce> branches_;
 
-    // Compiled/event program: cone-pruned evaluation plan, the comb gates
-    // with a branch (pin) injection (evaluated individually via flat
-    // per-pin force tables), and dense pin-0 forcing for DFF D inputs.
-    // Stem-only sites stay inside the type runs; their output forcing is a
-    // post-run patch. fix_* is the level-ascending merge of both fixup
-    // streams the kernel walks between type runs: fix_idx_[i] is a patch
-    // gate id when fix_patch_[i], else an index into forced_.
+    // Cone-pruned evaluation plan, the comb gates with a branch (pin)
+    // injection (evaluated individually via flat per-pin force tables), and
+    // dense pin-0 forcing for DFF D inputs. Stem-only sites stay inside the
+    // type runs; their output forcing is a post-run patch. fix_* is the
+    // level-ascending merge of both fixup streams the kernel walks between
+    // type runs: fix_idx_[i] is a patch gate id when fix_patch_[i], else an
+    // index into forced_.
     BatchProgram prog_;
     std::vector<GateId> forced_;
     std::vector<std::uint32_t> fix_idx_;
@@ -221,10 +191,6 @@ class FaultSimulator {
     std::vector<std::uint8_t> pin_any_;     // parallel to pin_force_: force.any()
     std::vector<std::uint8_t> forced_stem_; // parallel to forced_: stem_[g].any()
     std::vector<Forcing> dff_force_;        // indexed by DFF index
-    // Event engine bookkeeping (a runner is used by one thread at a time).
-    std::vector<std::uint8_t> in_plan_;     // comb gate participates in plan
-    mutable std::vector<std::vector<GateId>> buckets_;  // by level
-    mutable std::vector<std::uint8_t> queued_;
   };
 
   /// The historical 63-fault runner — the uint64_t instantiation.
@@ -236,10 +202,6 @@ class FaultSimulator {
                                         std::vector<LatchRecord>* latched) const;
   template <class Word>
   bool detects_all_impl(const SequenceView& view, std::span<const Fault> faults) const;
-  template <class Word>
-  std::vector<std::uint32_t> run_counts_impl(const SequenceView& view,
-                                             std::span<const Fault> faults,
-                                             std::uint32_t cap) const;
 
   // Per-pool-worker net-value scratch, one buffer per slot width so a width
   // switch between calls never reinterprets stale bytes.

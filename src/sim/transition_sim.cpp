@@ -64,7 +64,7 @@ void record_latch(std::span<LatchRecord> latched, const W3T<Word> w, std::size_t
 template <class Word>
 TransitionFaultSimulator::BatchRunnerT<Word>::BatchRunnerT(
     const CompiledNetlist& cnl, std::span<const TransitionFault> faults)
-    : cnl_(&cnl), nl_(&cnl.netlist()), faults_(faults), engine_(global_sim_engine()) {
+    : cnl_(&cnl), nl_(&cnl.netlist()), faults_(faults) {
   if (faults.size() > kSlots - 1) throw std::invalid_argument("BatchRunner: batch too large");
   const std::size_t n = cnl.num_gates();
   stem_head_.assign(n, kNone);
@@ -79,13 +79,12 @@ TransitionFaultSimulator::BatchRunnerT<Word>::BatchRunnerT(
     head[f.gate] = static_cast<std::int32_t>(i);
   }
 
-  if (engine_ == SimEngine::Levelized) return;  // legacy path needs no program
-
   // Branch (pin) injections need an individual evaluation; a stem-only
   // site keeps its type-run evaluation and has its slot rewrites (plus the
   // launch-history refresh) patched on afterwards.
   std::vector<GateId> sites;
   sites.reserve(faults.size());
+  std::vector<GateId> patched;
   std::vector<std::uint8_t> mark(n, 0);
   for (const TransitionFault& f : faults_) {
     sites.push_back(f.gate);
@@ -93,30 +92,30 @@ TransitionFaultSimulator::BatchRunnerT<Word>::BatchRunnerT(
     mark[f.gate] = 1;
     if (!is_combinational(cnl.type(f.gate))) continue;
     if (branch_head_[f.gate] != kNone) forced_.push_back(f.gate);
-    else if (stem_head_[f.gate] != kNone) patched_.push_back(f.gate);
+    else if (stem_head_[f.gate] != kNone) patched.push_back(f.gate);
   }
-  // Boundary-gate stem forcing runs from these lists each frame, in the
-  // legacy order (DFFs, then PIs).
+  // Boundary-gate stem forcing runs from these lists each frame, DFFs
+  // first, then PIs.
   for (const GateId d : cnl.dffs())
     if (stem_head_[d] != kNone) bstem_dff_.push_back(d);
   for (const GateId p : cnl.inputs())
     if (stem_head_[p] != kNone) bstem_pi_.push_back(p);
 
-  prog_ = cnl.build_program(sites, forced_, global_cone_pruning());
+  prog_ = cnl.build_program(sites, forced_, /*prune=*/true);
 
   // Level-ascending merge of the two fixup streams (see the stuck-at
   // runner's constructor for the ordering argument).
-  std::stable_sort(patched_.begin(), patched_.end(),
+  std::stable_sort(patched.begin(), patched.end(),
                    [&](GateId a, GateId b) { return cnl.level(a) < cnl.level(b); });
   {
     const std::size_t nf = prog_.forced_order.size();
     std::size_t fi = 0, pi = 0;
     constexpr auto kMax = std::numeric_limits<std::uint32_t>::max();
-    while (fi < nf || pi < patched_.size()) {
+    while (fi < nf || pi < patched.size()) {
       const std::uint32_t flv = fi < nf ? prog_.forced_level[fi] : kMax;
-      const std::uint32_t plv = pi < patched_.size() ? cnl.level(patched_[pi]) : kMax;
+      const std::uint32_t plv = pi < patched.size() ? cnl.level(patched[pi]) : kMax;
       if (plv < flv) {
-        fix_idx_.push_back(patched_[pi++]);
+        fix_idx_.push_back(patched[pi++]);
         fix_level_.push_back(plv);
         fix_patch_.push_back(1);
       } else {
@@ -125,14 +124,6 @@ TransitionFaultSimulator::BatchRunnerT<Word>::BatchRunnerT(
         fix_patch_.push_back(0);
       }
     }
-  }
-
-  if (engine_ == SimEngine::Event) {
-    in_plan_.assign(n, 0);
-    for (const GateId g : prog_.eval) in_plan_[g] = 1;
-    for (const GateId g : forced_) in_plan_[g] = 1;
-    buckets_.assign(cnl.num_levels(), {});
-    queued_.assign(n, 0);
   }
 }
 
@@ -184,45 +175,7 @@ W3T<Word> TransitionFaultSimulator::BatchRunnerT<Word>::eval_forced(
 }
 
 template <class Word>
-void TransitionFaultSimulator::BatchRunnerT<Word>::enqueue(GateId g) const {
-  if (queued_[g]) return;
-  queued_[g] = 1;
-  buckets_[cnl_->level(g)].push_back(g);
-}
-
-template <class Word>
-void TransitionFaultSimulator::BatchRunnerT<Word>::enqueue_fanouts(GateId g) const {
-  for (const GateId fo : cnl_->fanouts(g)) {
-    if (!is_combinational(cnl_->type(fo))) continue;  // DFFs sampled at frame end
-    if (in_plan_[fo]) enqueue(fo);
-  }
-}
-
-template <class Word>
 std::uint64_t TransitionFaultSimulator::BatchRunnerT<Word>::advance(
-    State& s, const SequenceView& view, std::vector<W3T<Word>>& values,
-    const AdvanceOptions& opt) const {
-  // Single telemetry choke point (same contract as FaultSimulator's runner):
-  // every simulated gate-word evaluation in the transition model flows
-  // through here, so the registry's gate_evals total matches the sum the old
-  // per-object counters reported.
-  const std::size_t start_frame = s.frame;
-  const std::uint64_t evals = engine_ == SimEngine::Levelized
-                                  ? advance_levelized(s, view, values, opt)
-                                  : advance_kernel(s, view, values, opt);
-  obs::count(obs::Counter::BatchesRun, 1);
-  obs::count(obs::Counter::GateEvals, evals);
-  if (prog_.pruned) {
-    const std::uint64_t frames = s.frame - start_frame;
-    const std::uint64_t full = cnl_->eval_order().size();
-    if (full > prog_.evals_per_frame)
-      obs::count(obs::Counter::ConePruneHits, frames * (full - prog_.evals_per_frame));
-  }
-  return evals;
-}
-
-template <class Word>
-std::uint64_t TransitionFaultSimulator::BatchRunnerT<Word>::advance_kernel(
     State& s, const SequenceView& view, std::vector<W3T<Word>>& values,
     const AdvanceOptions& opt) const {
   using W = W3T<Word>;
@@ -231,11 +184,9 @@ std::uint64_t TransitionFaultSimulator::BatchRunnerT<Word>::advance_kernel(
   const auto& inputs = cnl.inputs();
   const auto& dffs = cnl.dffs();
   const auto& dff_d = cnl.dff_d();
-  const bool event = engine_ == SimEngine::Event;
+  const std::size_t start_frame = s.frame;
   std::uint64_t evals = 0;
-  // The scratch is shared between runners on a worker thread, so the event
-  // engine's first frame of every advance is a full evaluation.
-  bool full = true;
+  bool exited = false;
 
   for (std::size_t t = s.frame; t < view.length(); ++t) {
     if (opt.checkpoints && t <= opt.capture_limit && opt.checkpoints->want(t)) {
@@ -244,88 +195,43 @@ std::uint64_t TransitionFaultSimulator::BatchRunnerT<Word>::advance_kernel(
     }
 
     const auto& vec = view.vector_at(t);
-    if (!event || full) {
-      full = false;
-      for (std::size_t i = 0; i < inputs.size(); ++i)
-        values[inputs[i]] = W::broadcast(vec[i]);
-      for (const std::uint32_t j : prog_.samp_dff) values[dffs[j]] = s.state[j];
-      // Stem faults on boundary gates force before combinational evaluation
-      // (a stem-faulted boundary is a fault site, hence always in-plan).
-      for (const GateId g : bstem_dff_) apply_stems(g, s, values);
-      for (const GateId g : bstem_pi_) apply_stems(g, s, values);
+    for (std::size_t i = 0; i < inputs.size(); ++i) values[inputs[i]] = W::broadcast(vec[i]);
+    for (const std::uint32_t j : prog_.samp_dff) values[dffs[j]] = s.state[j];
+    // Stem faults on boundary gates force before combinational evaluation
+    // (a stem-faulted boundary is a fault site, hence always in-plan).
+    for (const GateId g : bstem_dff_) apply_stems(g, s, values);
+    for (const GateId g : bstem_pi_) apply_stems(g, s, values);
 
-      // Type runs and fixups (individually-forced gates + stem patches),
-      // interleaved level-major (see FaultSimulator::BatchRunnerT's
-      // advance_kernel). A stem patch rewrites the faulted slots of the
-      // run-computed value in place and refreshes the launch history.
-      std::size_t fi = 0, ri = 0;
-      const std::size_t nf = fix_idx_.size();
-      const std::size_t nr = prog_.runs.size();
-      while (ri < nr || fi < nf) {
-        const std::uint32_t fl =
-            fi < nf ? fix_level_[fi] : std::numeric_limits<std::uint32_t>::max();
-        std::size_t rj = ri;
-        while (rj < nr && prog_.runs[rj].level <= fl) ++rj;
-        if (rj > ri) {
-          cnl.eval_runs_w3t<Word>(std::span<const TypeRun>(prog_.runs.data() + ri, rj - ri),
-                                  prog_.eval.data(), values.data());
-          ri = rj;
-        }
-        const std::uint32_t rl =
-            ri < nr ? prog_.runs[ri].level : std::numeric_limits<std::uint32_t>::max();
-        while (fi < nf && fix_level_[fi] < rl) {
-          if (fix_patch_[fi]) {
-            apply_stems(fix_idx_[fi], s, values);
-          } else {
-            const GateId g = forced_[fix_idx_[fi]];
-            values[g] = eval_forced(g, s, values);
-          }
-          ++fi;
-        }
+    // Type runs and fixups (individually-forced gates + stem patches),
+    // interleaved level-major (see FaultSimulator::BatchRunnerT::advance).
+    // A stem patch rewrites the faulted slots of the run-computed value in
+    // place and refreshes the launch history.
+    std::size_t fi = 0, ri = 0;
+    const std::size_t nf = fix_idx_.size();
+    const std::size_t nr = prog_.runs.size();
+    while (ri < nr || fi < nf) {
+      const std::uint32_t fl =
+          fi < nf ? fix_level_[fi] : std::numeric_limits<std::uint32_t>::max();
+      std::size_t rj = ri;
+      while (rj < nr && prog_.runs[rj].level <= fl) ++rj;
+      if (rj > ri) {
+        cnl.eval_runs_w3t<Word>(std::span<const TypeRun>(prog_.runs.data() + ri, rj - ri),
+                                prog_.eval.data(), values.data());
+        ri = rj;
       }
-      evals += prog_.evals_per_frame;
-    } else {
-      // The forced value at an injection site depends on prev_driven, so
-      // every site re-evaluates each frame even with quiet fanins — this
-      // also refreshes its launch history. Boundary sites refresh theirs in
-      // the (unconditional) stem application below.
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        const GateId g = inputs[i];
-        W w = W::broadcast(vec[i]);
-        if (stem_head_[g] != kNone) apply_stems_value(g, s, w);
-        if (!(w == values[g])) {
-          values[g] = w;
-          enqueue_fanouts(g);
+      const std::uint32_t rl =
+          ri < nr ? prog_.runs[ri].level : std::numeric_limits<std::uint32_t>::max();
+      while (fi < nf && fix_level_[fi] < rl) {
+        if (fix_patch_[fi]) {
+          apply_stems(fix_idx_[fi], s, values);
+        } else {
+          const GateId g = forced_[fix_idx_[fi]];
+          values[g] = eval_forced(g, s, values);
         }
-      }
-      for (const std::uint32_t j : prog_.samp_dff) {
-        const GateId g = dffs[j];
-        W w = s.state[j];
-        if (stem_head_[g] != kNone) apply_stems_value(g, s, w);
-        if (!(w == values[g])) {
-          values[g] = w;
-          enqueue_fanouts(g);
-        }
-      }
-      for (const GateId g : forced_) enqueue(g);
-      for (const GateId g : patched_) enqueue(g);  // stem history refresh
-      for (auto& bucket : buckets_) {
-        // Draining may append to HIGHER buckets only (fanout level > level).
-        for (std::size_t k = 0; k < bucket.size(); ++k) {
-          const GateId g = bucket[k];
-          queued_[g] = 0;
-          ++evals;
-          const W w = (branch_head_[g] != kNone || stem_head_[g] != kNone)
-                          ? eval_forced(g, s, values)
-                          : cnl.eval_gate_w3t_at<Word>(g, values.data());
-          if (!(w == values[g])) {
-            values[g] = w;
-            enqueue_fanouts(g);
-          }
-        }
-        bucket.clear();
+        ++fi;
       }
     }
+    evals += prog_.evals_per_frame;
 
     // Next state of the sampled DFFs (with branch forcing on D pins), then
     // commit the launch histories — every injection site was refreshed above
@@ -346,98 +252,29 @@ std::uint64_t TransitionFaultSimulator::BatchRunnerT<Word>::advance_kernel(
     w_for_each_set(newly, [&](unsigned slot) {
       w_set(s.detected_slots, slot);
       s.detect_time[slot] = static_cast<std::uint32_t>(t);
-      s.detect_count[slot] = 1;
       w_clear(s.live, slot);
     });
     if (opt.early_exit && !w_any(s.live)) {
       s.frame = t + 1;
-      return evals;
+      exited = true;
+      break;
     }
     if (!opt.latched.empty())
       for (const std::uint32_t j : prog_.latch_dff)
         record_latch(opt.latched, s.state[j], j, t);
   }
+  if (!exited) s.frame = view.length();
 
-  s.frame = view.length();
+  // Single telemetry choke point (same contract as FaultSimulator's runner).
+  obs::count(obs::Counter::BatchesRun, 1);
+  obs::count(obs::Counter::GateEvals, evals);
+  if (prog_.pruned) {
+    const std::uint64_t frames = s.frame - start_frame;
+    const std::uint64_t full = cnl.eval_order().size();
+    if (full > prog_.evals_per_frame)
+      obs::count(obs::Counter::ConePruneHits, frames * (full - prog_.evals_per_frame));
+  }
   return evals;
-}
-
-template <class Word>
-void TransitionFaultSimulator::BatchRunnerT<Word>::run_frame(
-    State& s, const std::vector<V3>& pi, std::vector<W3T<Word>>& values) const {
-  using W = W3T<Word>;
-  const Netlist& nl = *nl_;
-  for (std::size_t i = 0; i < nl.num_inputs(); ++i)
-    values[nl.inputs()[i]] = W::broadcast(pi[i]);
-  for (std::size_t j = 0; j < nl.num_dffs(); ++j) values[nl.dffs()[j]] = s.state[j];
-
-  // Stem faults on boundary gates force before combinational evaluation.
-  for (std::size_t j = 0; j < nl.num_dffs(); ++j)
-    if (stem_head_[nl.dffs()[j]] != kNone) apply_stems(nl.dffs()[j], s, values);
-  for (GateId pi_gate : nl.inputs())
-    if (stem_head_[pi_gate] != kNone) apply_stems(pi_gate, s, values);
-
-  W fanin_buf[64];
-  for (GateId g : nl.topo_order()) {
-    const Gate& gate = nl.gate(g);
-    const std::size_t n = gate.fanins.size();
-    for (std::size_t p = 0; p < n; ++p) fanin_buf[p] = values[gate.fanins[p]];
-    if (branch_head_[g] != kNone) apply_branches(g, fanin_buf, n, s, values);
-    values[g] = eval_gate_w3(gate.type, fanin_buf, n);
-    if (stem_head_[g] != kNone) apply_stems(g, s, values);
-  }
-
-  for (std::size_t j = 0; j < nl.num_dffs(); ++j) {
-    const GateId ff = nl.dffs()[j];
-    W d = values[nl.gate(ff).fanins[0]];
-    if (branch_head_[ff] != kNone) {
-      W buf[1] = {d};
-      apply_branches(ff, buf, 1, s, values);
-      d = buf[0];
-    }
-    s.state[j] = d;
-  }
-
-  // Commit launch histories (every fault site is evaluated every frame, so
-  // every pending entry was refreshed above).
-  for (std::size_t i = 0; i < faults_.size(); ++i) s.prev_driven[i] = pending_[i];
-}
-
-template <class Word>
-std::uint64_t TransitionFaultSimulator::BatchRunnerT<Word>::advance_levelized(
-    State& s, const SequenceView& view, std::vector<W3T<Word>>& values,
-    const AdvanceOptions& opt) const {
-  const Netlist& nl = *nl_;
-  values.resize(nl.num_gates());
-  std::uint64_t frames = 0;
-
-  for (std::size_t t = s.frame; t < view.length(); ++t) {
-    if (opt.checkpoints && t <= opt.capture_limit && opt.checkpoints->want(t)) {
-      s.frame = t;  // snapshot the state (and launch history) entering frame t
-      opt.checkpoints->save(opt.batch_index, s);
-    }
-
-    run_frame(s, view.vector_at(t), values);
-    ++frames;
-
-    const Word newly = observed_mask(nl.outputs(), values) & s.live;
-    w_for_each_set(newly, [&](unsigned slot) {
-      w_set(s.detected_slots, slot);
-      s.detect_time[slot] = static_cast<std::uint32_t>(t);
-      s.detect_count[slot] = 1;
-      w_clear(s.live, slot);
-    });
-    if (opt.early_exit && !w_any(s.live)) {
-      s.frame = t + 1;
-      return frames * nl.topo_order().size();
-    }
-    if (!opt.latched.empty())
-      for (std::size_t j = 0; j < nl.num_dffs(); ++j)
-        record_latch(opt.latched, s.state[j], j, t);
-  }
-
-  s.frame = view.length();
-  return frames * nl.topo_order().size();
 }
 
 template class TransitionFaultSimulator::BatchRunnerT<std::uint64_t>;

@@ -10,16 +10,11 @@
 // Mirrors FaultSimulator's two-layer structure: BatchRunnerT<Word> is the
 // incremental per-batch engine (checkpoint-resumable over a SequenceView,
 // caller-provided scratch) built on the CompiledNetlist kernel with the same
-// engine selection and observation-cone pruning; the one-shot
-// run/detects_all fan batches across ThreadPool::global() at the
-// process-wide slot width, with bit-identical results at any thread count
-// and any width. The launch history (previous driven value per fault) is
-// part of SimBatchStateT::prev_driven so checkpoints capture it.
-//
-// Unlike the stuck-at engine's static forcing, a transition fault's forced
-// value depends on prev_driven, so the event engine re-evaluates every
-// injection site each frame even when its fanins are quiet — both to track
-// the forced value and to refresh the launch history.
+// observation-cone pruning; the one-shot run/detects_all fan batches across
+// ThreadPool::global() at the process-wide slot width, with bit-identical
+// results at any thread count and any width. The launch history (previous
+// driven value per fault) is part of SimBatchStateT::prev_driven so
+// checkpoints capture it.
 #pragma once
 
 #include <cstdint>
@@ -80,8 +75,6 @@ class TransitionFaultSimulator {
     std::span<const TransitionFault> faults() const noexcept { return faults_; }
     Word slot_mask() const noexcept { return slot_mask_; }
 
-    SimEngine engine() const noexcept { return engine_; }
-    bool pruned() const noexcept { return prog_.pruned; }
     /// See FaultSimulator::BatchRunnerT::samples_dff.
     bool samples_dff(std::size_t j) const noexcept {
       return !prog_.pruned || prog_.dff_sampled[j] != 0;
@@ -104,7 +97,6 @@ class TransitionFaultSimulator {
    private:
     static constexpr std::int32_t kNone = -1;
 
-    void run_frame(State& s, const std::vector<V3>& pi, std::vector<W3T<Word>>& values) const;
     void apply_stems_value(GateId g, State& s, W3T<Word>& w) const;
     void apply_stems(GateId g, State& s, std::vector<W3T<Word>>& values) const {
       apply_stems_value(g, s, values[g]);
@@ -114,20 +106,11 @@ class TransitionFaultSimulator {
     /// Evaluate one injection-carrying combinational gate (branch forcing on
     /// its fanins, stem forcing on its output); refreshes launch histories.
     W3T<Word> eval_forced(GateId g, State& s, const std::vector<W3T<Word>>& values) const;
-    void enqueue(GateId g) const;
-    void enqueue_fanouts(GateId g) const;
-    std::uint64_t advance_levelized(State& s, const SequenceView& view,
-                                    std::vector<W3T<Word>>& values,
-                                    const AdvanceOptions& opt) const;
-    std::uint64_t advance_kernel(State& s, const SequenceView& view,
-                                 std::vector<W3T<Word>>& values,
-                                 const AdvanceOptions& opt) const;
 
     const CompiledNetlist* cnl_;
     const Netlist* nl_;
     std::span<const TransitionFault> faults_;
     Word slot_mask_{};
-    SimEngine engine_;
     // A line carries up to two faults (STR and STF) per batch; both stem and
     // branch faults are chained in per-gate intrusive lists.
     std::vector<std::int32_t> stem_head_;    // per gate -> fault index
@@ -138,25 +121,21 @@ class TransitionFaultSimulator {
     // runner is used by one thread at a time.
     mutable std::vector<V3> pending_;
 
-    // Compiled/event program (see FaultSimulator::BatchRunnerT). Boundary
+    // Cone-pruned program (see FaultSimulator::BatchRunnerT). Boundary
     // gates carrying stem faults are listed once so the per-frame forcing
     // pass doesn't scan all boundaries.
     // forced_ holds only gates with branch (pin) faults; stem-only sites
-    // stay inside the type runs (patched_) and get their slot rewrites
-    // applied level-interleaved. fix_* merges both fixup streams
-    // level-ascending: fix_idx_[i] is a patch gate id when fix_patch_[i],
-    // else an index into forced_.
+    // stay inside the type runs and get their slot rewrites applied
+    // level-interleaved. fix_* merges both fixup streams level-ascending:
+    // fix_idx_[i] is a patch gate id when fix_patch_[i], else an index into
+    // forced_.
     BatchProgram prog_;
     std::vector<GateId> forced_;
-    std::vector<GateId> patched_;
     std::vector<std::uint32_t> fix_idx_;
     std::vector<std::uint32_t> fix_level_;
     std::vector<std::uint8_t> fix_patch_;
     std::vector<GateId> bstem_dff_;  // DFF gates with stem faults
     std::vector<GateId> bstem_pi_;   // PI gates with stem faults
-    std::vector<std::uint8_t> in_plan_;
-    mutable std::vector<std::vector<GateId>> buckets_;
-    mutable std::vector<std::uint8_t> queued_;
   };
 
   /// The historical 63-fault runner — the uint64_t instantiation.

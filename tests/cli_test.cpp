@@ -267,6 +267,14 @@ TEST_F(CliFlow, CorpusToolExitCodes) {
     EXPECT_EQ(r.exit_code, 2) << flag;
     EXPECT_NE(r.output.find("bad value"), std::string::npos) << flag << ": " << r.output;
   }
+  // Unknown flags in any position (a misspelling, a removed option) and
+  // surplus arguments are usage errors, not silently ignored.
+  for (const char* args : {"digest s27 --theads=4", "--engine=event list fast",
+                           "list fast --no-such-flag", "list fast extra junk",
+                           "check-golden s27 b01"}) {
+    const RunResult r = run_binary(tool, args);
+    EXPECT_EQ(r.exit_code, 2) << args << ": " << r.output;
+  }
 }
 
 // The table binaries share the taxonomy: 2 for a malformed numeric flag,

@@ -1,9 +1,9 @@
 // CompiledNetlist kernel tests: CSR/structural invariants of the compiled
-// form, and the bit-identity contract across the three advance engines
-// (compiled / levelized / event), with and without observation-cone pruning,
-// at several thread counts — on the embedded s27 scan circuit and on fuzzed
-// synthetic netlists, over fault lists that include branch faults (forced
-// per-pin injection chains) and from the all-X power-up state.
+// form, and the cone-pruned fault-simulation kernel checked fault by fault
+// against the serial single-fault reference (reference_sim.hpp) at several
+// thread counts — on the embedded s27 scan circuit and on fuzzed synthetic
+// netlists, over fault lists that include branch faults (forced per-pin
+// injection chains) and from the all-X power-up state.
 #include "sim/compiled_netlist.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +13,7 @@
 
 #include "core/uniscan.hpp"
 #include "fault/fault_list.hpp"
-#include "sim/engine.hpp"
+#include "reference_sim.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/fault_sim_session.hpp"
 #include "sim/sequential_sim.hpp"
@@ -24,14 +24,10 @@
 namespace uniscan {
 namespace {
 
-/// Restores the process-wide engine config and thread count on scope exit so
-/// tests sharing the binary don't leak settings into each other.
-struct EngineConfigGuard {
-  ~EngineConfigGuard() {
-    set_global_sim_engine(SimEngine::Compiled);
-    set_global_cone_pruning(true);
-    ThreadPool::set_global_threads(1);
-  }
+/// Restores the thread count on scope exit so tests sharing the binary
+/// don't leak settings into each other.
+struct ThreadsGuard {
+  ~ThreadsGuard() { ThreadPool::set_global_threads(1); }
 };
 
 Netlist fuzz_netlist(std::uint64_t seed) {
@@ -148,156 +144,146 @@ TEST(CompiledNetlist, FullEvalMatchesPerGateReference) {
   }
 }
 
-/// All (engine, pruning) configurations; the levelized engine ignores the
-/// pruning flag, so it appears once.
-struct EngineConfig {
-  SimEngine engine;
-  bool prune;
-  const char* name;
-};
-constexpr EngineConfig kConfigs[] = {
-    {SimEngine::Levelized, false, "levelized"},
-    {SimEngine::Compiled, false, "compiled"},
-    {SimEngine::Compiled, true, "compiled+prune"},
-    {SimEngine::Event, false, "event"},
-    {SimEngine::Event, true, "event+prune"},
-};
+/// Kernel detection and latch records equal the reference's.
+::testing::AssertionResult matches(const ReferenceRun& ref, const DetectionRecord& got,
+                                   const LatchRecord& latch) {
+  if (got.detected != ref.detection.detected || got.time != ref.detection.time)
+    return ::testing::AssertionFailure()
+           << "detected=" << got.detected << "@" << got.time << ", reference "
+           << ref.detection.detected << "@" << ref.detection.time;
+  if (latch.latched != ref.latch.latched || latch.ff_index != ref.latch.ff_index ||
+      latch.time != ref.latch.time)
+    return ::testing::AssertionFailure()
+           << "latch=" << latch.latched << " ff" << latch.ff_index << "@" << latch.time
+           << ", reference " << ref.latch.latched << " ff" << ref.latch.ff_index << "@"
+           << ref.latch.time;
+  return ::testing::AssertionSuccess();
+}
+
+Netlist kernel_circuit(std::uint64_t seed) {
+  return seed == 0 ? insert_scan(make_s27()).netlist : fuzz_netlist(seed);
+}
 
 class KernelEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(KernelEquivalence, StuckAtEnginesBitIdentical) {
-  EngineConfigGuard guard;
+  ThreadsGuard guard;
   const std::uint64_t seed = GetParam();
-  const Netlist nl = seed == 0 ? insert_scan(make_s27()).netlist : fuzz_netlist(seed);
+  const Netlist nl = kernel_circuit(seed);
   // Uncollapsed list: keeps every branch fault so the per-pin forced
   // injection chains are exercised, several faults per gate included.
   const FaultList fl = FaultList::uncollapsed(nl);
   const TestSequence seq = random_sequence(nl, 40, seed * 31 + 7);
+  std::vector<ReferenceRun> ref;
+  for (const Fault& f : fl.faults()) ref.push_back(reference_stuck_at(nl, f, seq));
 
-  // Baseline: the pre-kernel engine, single-threaded.
-  set_global_sim_engine(SimEngine::Levelized);
-  std::vector<LatchRecord> base_latch;
-  FaultSimulator base_sim(nl);
-  const auto base = base_sim.run(seq, fl.faults(), &base_latch);
-  const auto base_counts = base_sim.run_counts(seq, fl.faults(), 3);
-
-  for (const EngineConfig& cfg : kConfigs) {
-    set_global_sim_engine(cfg.engine);
-    set_global_cone_pruning(cfg.prune);
-    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      SCOPED_TRACE(std::string(cfg.name) + " threads=" + std::to_string(threads));
-      ThreadPool::set_global_threads(threads);
-      FaultSimulator sim(nl);
-      std::vector<LatchRecord> latch;
-      const auto got = sim.run(seq, fl.faults(), &latch);
-      ASSERT_EQ(got.size(), base.size());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got[i].detected, base[i].detected) << "fault " << i;
-        ASSERT_EQ(got[i].time, base[i].time) << "fault " << i;
-        ASSERT_EQ(latch[i].latched, base_latch[i].latched) << "fault " << i;
-        ASSERT_EQ(latch[i].ff_index, base_latch[i].ff_index) << "fault " << i;
-        ASSERT_EQ(latch[i].time, base_latch[i].time) << "fault " << i;
-      }
-      ASSERT_EQ(sim.run_counts(seq, fl.faults(), 3), base_counts);
-    }
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadPool::set_global_threads(threads);
+    FaultSimulator sim(nl);
+    std::vector<LatchRecord> latch;
+    const auto got = sim.run(seq, fl.faults(), &latch);
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_TRUE(matches(ref[i], got[i], latch[i])) << "fault " << i;
   }
 }
 
 TEST_P(KernelEquivalence, TransitionEnginesBitIdentical) {
-  EngineConfigGuard guard;
+  ThreadsGuard guard;
   const std::uint64_t seed = GetParam();
-  const Netlist nl = seed == 0 ? insert_scan(make_s27()).netlist : fuzz_netlist(seed);
+  const Netlist nl = kernel_circuit(seed);
   const std::vector<TransitionFault> faults = enumerate_transition_faults(nl);
   const TestSequence seq = random_sequence(nl, 40, seed * 37 + 3);
+  std::vector<ReferenceRun> ref;
+  for (const TransitionFault& f : faults) ref.push_back(reference_transition(nl, f, seq));
 
-  set_global_sim_engine(SimEngine::Levelized);
-  std::vector<LatchRecord> base_latch;
-  TransitionFaultSimulator base_sim(nl);
-  const auto base = base_sim.run(seq, faults, &base_latch);
-
-  for (const EngineConfig& cfg : kConfigs) {
-    set_global_sim_engine(cfg.engine);
-    set_global_cone_pruning(cfg.prune);
-    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      SCOPED_TRACE(std::string(cfg.name) + " threads=" + std::to_string(threads));
-      ThreadPool::set_global_threads(threads);
-      TransitionFaultSimulator sim(nl);
-      std::vector<LatchRecord> latch;
-      const auto got = sim.run(seq, faults, &latch);
-      ASSERT_EQ(got.size(), base.size());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got[i].detected, base[i].detected) << "fault " << i;
-        ASSERT_EQ(got[i].time, base[i].time) << "fault " << i;
-        ASSERT_EQ(latch[i].latched, base_latch[i].latched) << "fault " << i;
-        ASSERT_EQ(latch[i].ff_index, base_latch[i].ff_index) << "fault " << i;
-        ASSERT_EQ(latch[i].time, base_latch[i].time) << "fault " << i;
-      }
-    }
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadPool::set_global_threads(threads);
+    TransitionFaultSimulator sim(nl);
+    std::vector<LatchRecord> latch;
+    const auto got = sim.run(seq, faults, &latch);
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_TRUE(matches(ref[i], got[i], latch[i])) << "fault " << i;
   }
 }
 
+/// Sessions after two chunks: detections (absolute times) for every fault,
+/// and for undetected faults the machine-pair state — including DFFs a
+/// pruned batch never samples, which pair_state reconstructs from the good
+/// machine — plus, in the transition model, the launch history.
 TEST_P(KernelEquivalence, SessionStatesBitIdentical) {
-  EngineConfigGuard guard;
+  ThreadsGuard guard;
   const std::uint64_t seed = GetParam();
-  const Netlist nl = seed == 0 ? insert_scan(make_s27()).netlist : fuzz_netlist(seed);
+  const Netlist nl = kernel_circuit(seed);
   const FaultList fl = FaultList::uncollapsed(nl);
+  const std::vector<TransitionFault> tfaults = enumerate_transition_faults(nl);
   const TestSequence chunk1 = random_sequence(nl, 12, seed * 41 + 1);
   const TestSequence chunk2 = random_sequence(nl, 12, seed * 41 + 2);
+  TestSequence whole = chunk1;
+  whole.append_sequence(chunk2);
+  std::vector<ReferenceRun> ref, tref;
+  for (const Fault& f : fl.faults()) ref.push_back(reference_stuck_at(nl, f, whole));
+  for (const TransitionFault& f : tfaults) tref.push_back(reference_transition(nl, f, whole));
 
-  // Baseline session: levelized engine. pair_state must agree for every
-  // fault even under pruning (unsampled DFFs reconstruct from the good
-  // machine).
-  set_global_sim_engine(SimEngine::Levelized);
-  FaultSimSession base(nl, fl.faults());
-  base.advance(chunk1);
-  base.advance(chunk2);
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadPool::set_global_threads(threads);
+    State good, faulty;
+    V3 prev = V3::X;
 
-  for (const EngineConfig& cfg : kConfigs) {
-    set_global_sim_engine(cfg.engine);
-    set_global_cone_pruning(cfg.prune);
-    for (const std::size_t threads : {1u, 4u}) {
-      SCOPED_TRACE(std::string(cfg.name) + " threads=" + std::to_string(threads));
-      ThreadPool::set_global_threads(threads);
-      FaultSimSession ses(nl, fl.faults());
-      ses.advance(chunk1);
-      ses.advance(chunk2);
-      ASSERT_EQ(ses.num_detected(), base.num_detected());
-      ASSERT_EQ(ses.good_state(), base.good_state());
-      State g1, f1, g2, f2;
-      for (std::size_t i = 0; i < fl.size(); ++i) {
-        ASSERT_EQ(ses.is_detected(i), base.is_detected(i)) << "fault " << i;
-        ses.pair_state(i, g1, f1);
-        base.pair_state(i, g2, f2);
-        ASSERT_EQ(g1, g2) << "fault " << i;
-        ASSERT_EQ(f1, f2) << "fault " << i;
+    FaultSimSession ses(nl, fl.faults());
+    ses.advance(chunk1);
+    ses.advance(chunk2);
+    for (std::size_t i = 0; i < fl.size(); ++i) {
+      const ReferenceRun& r = ref[i];
+      ASSERT_EQ(ses.is_detected(i), r.detection.detected) << "fault " << i;
+      if (r.detection.detected) {
+        ASSERT_EQ(ses.detections()[i].time, r.detection.time) << "fault " << i;
+        continue;
       }
+      ses.pair_state(i, good, faulty);
+      ASSERT_EQ(good, r.good) << "fault " << i;
+      ASSERT_EQ(faulty, r.faulty) << "fault " << i;
+    }
+
+    TransitionSimSession tses(nl, tfaults);
+    tses.advance(chunk1);
+    tses.advance(chunk2);
+    for (std::size_t i = 0; i < tfaults.size(); ++i) {
+      const ReferenceRun& r = tref[i];
+      ASSERT_EQ(tses.is_detected(i), r.detection.detected) << "transition fault " << i;
+      if (r.detection.detected) {
+        ASSERT_EQ(tses.detections()[i].time, r.detection.time) << "transition fault " << i;
+        continue;
+      }
+      tses.pair_state(i, good, faulty, prev);
+      ASSERT_EQ(good, r.good) << "transition fault " << i;
+      ASSERT_EQ(faulty, r.faulty) << "transition fault " << i;
+      ASSERT_EQ(prev, r.prev_driven) << "transition fault " << i;
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelEquivalence, ::testing::Range<std::uint64_t>(0, 5));
 
-/// From the all-X power-up state with all-X inputs nothing is detectable and
-/// every engine must agree on the (empty) result — exercises optimistic-X
-/// propagation through the type runs and the event comparisons.
-TEST(KernelEquivalence, AllXSequenceAgreesAcrossEngines) {
-  EngineConfigGuard guard;
+/// From the all-X power-up state with all-X inputs nothing is detectable or
+/// latched — exercises optimistic-X propagation through the type runs.
+TEST(KernelEquivalence, AllXSequenceDetectsNothing) {
   const Netlist nl = insert_scan(make_s27()).netlist;
   const FaultList fl = FaultList::uncollapsed(nl);
   TestSequence seq(nl.num_inputs());
   for (int t = 0; t < 10; ++t) seq.append_x();
 
-  for (const EngineConfig& cfg : kConfigs) {
-    SCOPED_TRACE(cfg.name);
-    set_global_sim_engine(cfg.engine);
-    set_global_cone_pruning(cfg.prune);
-    FaultSimulator sim(nl);
-    std::vector<LatchRecord> latch;
-    const auto got = sim.run(seq, fl.faults(), &latch);
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_FALSE(got[i].detected) << "fault " << i;
-      ASSERT_FALSE(latch[i].latched) << "fault " << i;
-    }
+  FaultSimulator sim(nl);
+  std::vector<LatchRecord> latch;
+  const auto got = sim.run(seq, fl.faults(), &latch);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_FALSE(got[i].detected) << "fault " << i;
+    ASSERT_FALSE(latch[i].latched) << "fault " << i;
+    ASSERT_TRUE(matches(reference_stuck_at(nl, fl[i], seq), got[i], latch[i])) << "fault " << i;
   }
 }
 

@@ -64,26 +64,6 @@ TEST(Integration, InsertScanBenchRoundTripStaysFunctional) {
   EXPECT_EQ(s, (State{V3::One, V3::Zero, V3::One}));
 }
 
-TEST(Integration, VerilogCircuitThroughFullPipeline) {
-  const auto text = R"(
-module demo (a, b, y);
-  input a, b;
-  output y;
-  wire y, q0, q1, n0, n1, t;
-  dff r0 (q0, n0);
-  dff r1 (q1, n1);
-  xor g0 (n0, a, q1);
-  nand g1 (t, b, q0);
-  not g2 (n1, t);
-  or  g3 (y, q0, t);
-endmodule
-)";
-  const Netlist c = read_verilog_string(text);
-  const GenerateCompactReport r = run_generate_and_compact(c);
-  EXPECT_GE(r.atpg.fault_coverage(), 85.0);
-  EXPECT_LE(r.omitted.total, r.raw.total);
-}
-
 TEST(Integration, RepeatFillReducesInputTransitions) {
   const ScanCircuit sc = insert_scan(load_circuit(*find_suite_entry("b01")));
   const FaultList fl = FaultList::collapsed(sc.netlist);
@@ -112,25 +92,6 @@ TEST(Integration, SequenceFileSurvivesWholeFlow) {
   FaultSimulator sim(sc.netlist);
   EXPECT_EQ(sim.detected_indices(reloaded, fl.faults()).size(),
             sim.detected_indices(omit.sequence, fl.faults()).size());
-}
-
-TEST(Integration, EventSimAgreesOnScanShiftSequences) {
-  // Scan-shift-heavy stimuli are the event simulator's best case; results
-  // must still be identical.
-  const ScanCircuit sc = insert_scan(load_circuit(*find_suite_entry("s298")));
-  Rng rng(12);
-  TestSequence seq(sc.netlist.num_inputs());
-  for (int t = 0; t < 80; ++t) {
-    std::vector<V3> vec(sc.netlist.num_inputs());
-    for (auto& v : vec) v = rng.next_bool() ? V3::One : V3::Zero;
-    vec[sc.scan_sel_index()] = t % 20 < 14 ? V3::One : V3::Zero;  // long shifts
-    seq.append(std::move(vec));
-  }
-  const SequentialSimulator ref(sc.netlist);
-  EventSimulator ev(sc.netlist);
-  const SimTrace a = ref.simulate(seq, ref.initial_state());
-  const SimTrace b = ev.simulate(seq, ref.initial_state());
-  for (std::size_t t = 0; t < a.po.size(); ++t) ASSERT_EQ(a.po[t], b.po[t]) << t;
 }
 
 }  // namespace

@@ -8,9 +8,11 @@
 //   corpus_tool regen-golden <name>|<tier>   recompute golden/<ckt>.ans.sha
 //   corpus_tool check-golden <name>|<tier>   compare digests against golden
 //
-// Common flags: --corpus-dir=DIR (default: UNISCAN_CORPUS_DIR env or the
-// compiled-in source corpus), --threads=N (sizes the global pool; results
-// are bit-identical at any value, DESIGN.md §5d).
+// Common flags, accepted in any position: --corpus-dir=DIR (default:
+// UNISCAN_CORPUS_DIR env or the compiled-in source corpus), --threads=N
+// (sizes the global pool; results are bit-identical at any value, DESIGN.md
+// §5d), --slot-width=64|256|512|auto (likewise bit-identical). An unknown
+// flag or a surplus argument is a usage error: exit 2.
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -32,7 +34,8 @@ namespace {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: corpus_tool [--corpus-dir=DIR] [--threads=N] <command> [args]\n"
+               "usage: corpus_tool [--corpus-dir=DIR] [--threads=N] [--slot-width=W] <command> "
+               "[arg]\n"
                "commands: list|verify|hash [tier], synth <name>|<tier>|all,\n"
                "          digest <name> [--text], regen-golden <sel>, check-golden <sel>\n");
   return 2;
@@ -158,23 +161,20 @@ int main(int argc, char** argv) {
       threads = *n;
     }
     else if (arg == "--text") print_text = true;
-    else if (arg.rfind("--engine=", 0) == 0) {
-      SimEngine engine;
-      if (!parse_sim_engine(arg.substr(9), engine)) {
-        std::fprintf(stderr, "unknown engine: %s\n", arg.c_str() + 9);
-        return 2;
-      }
-      set_global_sim_engine(engine);
-    } else if (arg.rfind("--slot-width=", 0) == 0) {
+    else if (arg.rfind("--slot-width=", 0) == 0) {
       SlotWidth width;
       if (!parse_slot_width(arg.substr(13), width)) {
         std::fprintf(stderr, "unknown slot width: %s\n", arg.c_str() + 13);
         return 2;
       }
       set_global_slot_width(width);
+    } else if (arg.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
+      return 2;
     } else rest.push_back(arg);
   }
-  if (rest.empty()) return usage();
+  // Every command takes at most one argument.
+  if (rest.empty() || rest.size() > 2) return usage();
   ThreadPool::set_global_threads(threads == 0 ? 1 : threads);
   const CorpusRegistry owned(corpus_dir.empty() ? CorpusRegistry::default_dir() : corpus_dir);
   const CorpusRegistry& reg = owned;
