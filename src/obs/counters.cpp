@@ -37,6 +37,10 @@ const char* counter_name(Counter c) noexcept {
     case Counter::SatConflicts: return "sat_conflicts";
     case Counter::SatDecisions: return "sat_decisions";
     case Counter::SatPropagations: return "sat_propagations";
+    case Counter::PodemDecisions: return "podem_decisions";
+    case Counter::PodemBacktracks: return "podem_backtracks";
+    case Counter::FrameSims: return "frame_sims";
+    case Counter::FrameGateEvals: return "frame_gate_evals";
   }
   return "unknown";
 }

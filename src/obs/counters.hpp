@@ -51,8 +51,12 @@ enum class Counter : std::uint8_t {
   SatConflicts,         // CDCL conflicts across all SAT engine solves
   SatDecisions,         // CDCL decisions across all SAT engine solves
   SatPropagations,      // CDCL literal propagations across all SAT solves
+  PodemDecisions,       // PODEM decisions (objective values assigned)
+  PodemBacktracks,      // PODEM backtracks (decisions flipped)
+  FrameSims,            // FrameModel::simulate() calls
+  FrameGateEvals,       // gate evaluations inside FrameModel::simulate()
 };
-inline constexpr std::size_t kNumCounters = 15;
+inline constexpr std::size_t kNumCounters = 19;
 
 /// Counters with max semantics: count_max() raises the shard value, totals()
 /// max-reduces across shards instead of summing, and CounterScope reports a

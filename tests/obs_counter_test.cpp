@@ -71,10 +71,19 @@ std::string diff_string(const obs::CounterArray& a, const obs::CounterArray& b) 
   return out;
 }
 
+/// Both flows run PODEM, so its work counters must have moved (and are then
+/// pinned thread-invariant by the EXPECT_EQ over whole arrays).
+void expect_podem_work(const obs::CounterArray& c) {
+  for (obs::Counter k : {obs::Counter::PodemDecisions, obs::Counter::PodemBacktracks,
+                         obs::Counter::FrameSims, obs::Counter::FrameGateEvals})
+    EXPECT_GT(c[std::size_t(k)], 0u) << obs::counter_name(k);
+}
+
 TEST(ObsCounters, StuckAtTotalsBitIdenticalAcrossThreadCounts) {
   const obs::CounterArray base = stuck_at_totals(1);
   EXPECT_GT(base[std::size_t(obs::Counter::GateEvals)], 0u);
   EXPECT_GT(base[std::size_t(obs::Counter::OmissionTrials)], 0u);
+  expect_podem_work(base);
   for (std::size_t t : kThreadCounts) {
     const obs::CounterArray got = stuck_at_totals(t);
     EXPECT_EQ(got, base) << "threads=" << t << ": " << diff_string(got, base);
@@ -84,6 +93,7 @@ TEST(ObsCounters, StuckAtTotalsBitIdenticalAcrossThreadCounts) {
 TEST(ObsCounters, TransitionTotalsBitIdenticalAcrossThreadCounts) {
   const obs::CounterArray base = transition_totals(1);
   EXPECT_GT(base[std::size_t(obs::Counter::GateEvals)], 0u);
+  expect_podem_work(base);
   for (std::size_t t : kThreadCounts) {
     const obs::CounterArray got = transition_totals(t);
     EXPECT_EQ(got, base) << "threads=" << t << ": " << diff_string(got, base);
