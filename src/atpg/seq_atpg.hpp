@@ -73,6 +73,11 @@ struct AtpgOptions {
 };
 
 struct AtpgStats {
+  /// PODEM searches of step (a) (one per window), step (b) and the deep
+  /// last-chance pass. Not counted: the step-(c) LatchIntoFf fallback
+  /// (`fallback_attempts`) and the window-1 redundancy proof ahead of each
+  /// deep search, so this is a subset of all run_podem() calls (the
+  /// `podem_decisions` / `frame_sims` counters cover every call).
   std::size_t podem_calls = 0;
   std::size_t podem_successes = 0;
   std::size_t scan_load_assisted = 0;  // detections via scan-load justification

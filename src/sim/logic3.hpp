@@ -37,32 +37,32 @@ inline V3 v3_from_char(char c) noexcept {
   return V3::X;
 }
 
-inline V3 v3_not(V3 a) noexcept {
+inline constexpr V3 v3_not(V3 a) noexcept {
   if (a == V3::Zero) return V3::One;
   if (a == V3::One) return V3::Zero;
   return V3::X;
 }
 
-inline V3 v3_and(V3 a, V3 b) noexcept {
+inline constexpr V3 v3_and(V3 a, V3 b) noexcept {
   if (a == V3::Zero || b == V3::Zero) return V3::Zero;
   if (a == V3::One && b == V3::One) return V3::One;
   return V3::X;
 }
 
-inline V3 v3_or(V3 a, V3 b) noexcept {
+inline constexpr V3 v3_or(V3 a, V3 b) noexcept {
   if (a == V3::One || b == V3::One) return V3::One;
   if (a == V3::Zero && b == V3::Zero) return V3::Zero;
   return V3::X;
 }
 
-inline V3 v3_xor(V3 a, V3 b) noexcept {
+inline constexpr V3 v3_xor(V3 a, V3 b) noexcept {
   if (a == V3::X || b == V3::X) return V3::X;
   return (a == b) ? V3::Zero : V3::One;
 }
 
 /// MUX with optimistic X handling: if select is X but both data inputs agree
 /// on a known value, that value is produced.
-inline V3 v3_mux(V3 d0, V3 d1, V3 sel) noexcept {
+inline constexpr V3 v3_mux(V3 d0, V3 d1, V3 sel) noexcept {
   if (sel == V3::Zero) return d0;
   if (sel == V3::One) return d1;
   return (d0 == d1) ? d0 : V3::X;
