@@ -31,7 +31,6 @@ class PodemSearch {
  private:
   std::optional<Decision> choose_objective();
   std::optional<Decision> backtrace(std::size_t frame, GateId net, V3 val) const;
-  std::optional<Decision> bt(std::size_t frame, GateId net, V3 val) const;
   std::optional<Decision> frontier_objective(std::size_t frame, GateId g) const;
   std::optional<Decision> activation_objective() const;
 
@@ -42,7 +41,7 @@ class PodemSearch {
 
   // Memoized failure set for the backtrace DFS: (frame, net, val) triples
   // already proven to have no reachable unassigned input. Generation-stamped
-  // so each top-level backtrace starts fresh without reallocation.
+  // so each objective choice starts fresh without reallocation.
   mutable std::vector<std::uint32_t> bt_stamp_;
   mutable std::uint32_t bt_gen_ = 0;
 };
@@ -60,19 +59,12 @@ V3 noncontrolling_value(GateType t) noexcept {
   }
 }
 
-std::optional<Decision> PodemSearch::backtrace(std::size_t frame, GateId net, V3 val) const {
-  const std::size_t slots = model_.num_frames() * nl_.num_gates() * 2;
-  if (bt_stamp_.size() != slots) bt_stamp_.assign(slots, 0);
-  ++bt_gen_;
-  return bt(frame, net, val);
-}
-
 // Depth-first search for an unassigned primary input (or scan-in cell) that
 // can move the (frame, net) good value toward `val`. Unlike classic PODEM's
 // single-path backtrace this falls back to sibling inputs, which matters
 // here because a path can dead-end at frame 0's fixed present state. Failed
-// (frame, net, val) triples are memoized within one top-level call.
-std::optional<Decision> PodemSearch::bt(std::size_t frame, GateId net, V3 val) const {
+// (frame, net, val) triples are memoized within one objective choice.
+std::optional<Decision> PodemSearch::backtrace(std::size_t frame, GateId net, V3 val) const {
   const std::size_t key = (frame * nl_.num_gates() + net) * 2 + (val == V3::One ? 1 : 0);
   if (bt_stamp_[key] == bt_gen_) return std::nullopt;  // known dead end
   const auto fail = [&]() -> std::optional<Decision> {
@@ -94,15 +86,15 @@ std::optional<Decision> PodemSearch::bt(std::size_t frame, GateId net, V3 val) c
         if (model_.state_assignment(j) != V3::X) return fail();
         return Decision{0, nl_.num_inputs() + j, val, false};
       }
-      if (auto d = bt(frame - 1, gate.fanins[0], val)) return d;
+      if (auto d = backtrace(frame - 1, gate.fanins[0], val)) return d;
       return fail();
     }
     case GateType::Buf: {
-      if (auto d = bt(frame, gate.fanins[0], val)) return d;
+      if (auto d = backtrace(frame, gate.fanins[0], val)) return d;
       return fail();
     }
     case GateType::Not: {
-      if (auto d = bt(frame, gate.fanins[0], v3_not(val))) return d;
+      if (auto d = backtrace(frame, gate.fanins[0], v3_not(val))) return d;
       return fail();
     }
     case GateType::And:
@@ -124,7 +116,7 @@ std::optional<Decision> PodemSearch::bt(std::size_t frame, GateId net, V3 val) c
       std::sort(cands.begin(), cands.end());
       if (!controlling) std::reverse(cands.begin(), cands.end());
       for (const auto& [cost, in] : cands)
-        if (auto d = bt(frame, in, need)) return d;
+        if (auto d = backtrace(frame, in, need)) return d;
       return fail();
     }
     case GateType::Xor:
@@ -140,9 +132,9 @@ std::optional<Decision> PodemSearch::bt(std::size_t frame, GateId net, V3 val) c
         const V3 first = xs.size() == 1
                              ? target
                              : (model_.cost0(in) <= model_.cost1(in) ? V3::Zero : V3::One);
-        if (auto d = bt(frame, in, first)) return d;
+        if (auto d = backtrace(frame, in, first)) return d;
         if (xs.size() > 1)
-          if (auto d = bt(frame, in, v3_not(first))) return d;
+          if (auto d = backtrace(frame, in, v3_not(first))) return d;
       }
       return fail();
     }
@@ -152,11 +144,11 @@ std::optional<Decision> PodemSearch::bt(std::size_t frame, GateId net, V3 val) c
       const GateId sel = gate.fanins[2];
       const V3 sv = model_.value(frame, sel).good;
       if (sv == V3::Zero) {
-        if (auto d = bt(frame, d0, val)) return d;
+        if (auto d = backtrace(frame, d0, val)) return d;
         return fail();
       }
       if (sv == V3::One) {
-        if (auto d = bt(frame, d1, val)) return d;
+        if (auto d = backtrace(frame, d1, val)) return d;
         return fail();
       }
       // Select is free: try the cheaper side first, fall back to the other,
@@ -169,10 +161,10 @@ std::optional<Decision> PodemSearch::bt(std::size_t frame, GateId net, V3 val) c
       };
       const bool one_first = side_cost(d1, true) < side_cost(d0, false);
       for (bool choose_one : {one_first, !one_first})
-        if (auto d = bt(frame, sel, choose_one ? V3::One : V3::Zero)) return d;
+        if (auto d = backtrace(frame, sel, choose_one ? V3::One : V3::Zero)) return d;
       for (GateId data : {d0, d1})
         if (model_.value(frame, data).good == V3::X)
-          if (auto d = bt(frame, data, val)) return d;
+          if (auto d = backtrace(frame, data, val)) return d;
       return fail();
     }
     case GateType::Const0:
@@ -256,6 +248,17 @@ std::optional<Decision> PodemSearch::activation_objective() const {
 }
 
 std::optional<Decision> PodemSearch::choose_objective() {
+  // One failure memo serves every backtrace of this choice: whether
+  // backtrace() fails for (frame, net, val) depends only on the model's
+  // values, which do not change until a decision is made, and the DFS runs
+  // over an acyclic unrolling, so no node is marked failed while still on
+  // the stack. The memo cannot outlive the choice (be kept per simulate()
+  // across decisions): when a Mux2's select is known, backtrace() explores
+  // the data input whether or not its value is known, so a failure is not
+  // monotone in the assignments.
+  const std::size_t slots = model_.num_frames() * nl_.num_gates() * 2;
+  if (bt_stamp_.size() != slots) bt_stamp_.assign(slots, 0);
+  ++bt_gen_;
   if (model_.any_effect()) {
     for (const auto& [frame, g] : model_.d_frontier())
       if (auto d = frontier_objective(frame, g)) return d;
