@@ -7,7 +7,7 @@
 // LOS/LOC schemes do, without any special-casing. The driver mirrors the
 // Section-2 stuck-at generator: random bootstrap, per-fault PODEM on the
 // time-frame window with the transition launch condition, scan-load
-// justification, and the latch-and-flush fallback.
+// justification, the latch-and-flush fallback and the SAT second chance.
 #pragma once
 
 #include <cstdint>

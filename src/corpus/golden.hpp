@@ -25,7 +25,7 @@
 namespace uniscan {
 
 /// Bumped when the canonical record's fields or the tier profiles change.
-inline constexpr int kDigestFormatVersion = 1;
+inline constexpr int kDigestFormatVersion = 2;
 
 struct DigestOptions {
   AtpgOptions atpg;
@@ -37,12 +37,12 @@ struct DigestOptions {
 };
 
 /// The fixed per-tier effort profile. fast = the full pipeline; mid drops
-/// omission (the trial loop dominates wall time) and caps the last-chance
-/// backtrack budget; large additionally drops restoration and bounds the
-/// fault universe. `num_gates` further scales mid rows past
-/// kMidGateBudget down to large-row effort — per-PODEM-call and
-/// per-fault-sim cost grows with the netlist, so a flat fault budget
-/// would make the biggest mid rows dominate the whole sweep.
+/// omission (the trial loop dominates wall time) and the SAT second chance;
+/// large additionally drops restoration and bounds the fault universe.
+/// `num_gates` further scales mid rows past kMidGateBudget down to
+/// large-row effort — per-PODEM-call and per-fault-sim cost grows with the
+/// netlist, so a flat fault budget would make the biggest mid rows dominate
+/// the whole sweep.
 inline constexpr std::size_t kMidGateBudget = 4000;
 DigestOptions digest_profile(CorpusTier tier, std::size_t num_gates = 0);
 

@@ -10,7 +10,7 @@
 // with no bookkeeping for removed clauses — propagation over a superset of
 // the solver's live clauses derives at least as much.
 //
-// The independent replay checker lives in tests/ (sat_certificate_test.cpp)
+// The independent replay checker lives in tests/ (certificate_check.hpp)
 // so validation never trusts the solver's internal state.
 #pragma once
 

@@ -64,7 +64,6 @@ TEST_P(FuzzPipeline, EndToEndInvariants) {
   // reference, which shares no code with the parallel kernel that found them.
   AtpgOptions opt;
   opt.seed = GetParam();
-  opt.final_effort_backtracks = 500;  // keep fuzz runs quick
   const AtpgResult atpg = generate_tests(sc, fl, opt);
   std::vector<bool> check(fl.size());
   std::size_t detected = 0;
@@ -202,7 +201,6 @@ TEST_P(FuzzCorpus, CorpusCaseReproducibleFromSeed) {
   AtpgOptions opt;
   opt.seed = seed;
   opt.max_backtracks = 10;
-  opt.final_effort_backtracks = 0;
   opt.max_random_chunks = 4;
   opt.window_schedule = {4};
   const AtpgResult first = generate_tests(sc, fl, opt);

@@ -80,7 +80,6 @@ void expect_same(const std::vector<GenerateCompactReport>& got,
 TEST(PipelineDeterminism, GenerateSuiteIdenticalAcrossThreadCounts) {
   const auto suite = mini_suite();
   PipelineConfig cfg;
-  cfg.atpg.final_effort_backtracks = 500;  // keep the mini-suite quick
 
   PoolGuard one(1);
   const auto want = values(run_suite_generate_and_compact(suite, cfg));
@@ -99,7 +98,6 @@ TEST(PipelineDeterminism, GenerateSuiteIdenticalAcrossThreadCounts) {
 TEST(PipelineDeterminism, GenerateSuiteRepeatableAtFixedThreadCount) {
   const auto suite = mini_suite();
   PipelineConfig cfg;
-  cfg.atpg.final_effort_backtracks = 500;
   PoolGuard guard(4);
   const auto first = values(run_suite_generate_and_compact(suite, cfg));
   const auto second = values(run_suite_generate_and_compact(suite, cfg));
@@ -135,7 +133,6 @@ TEST(PipelineDeterminism, FormattedReportsIdenticalAcrossThreadCounts) {
   // sequence as the paper-style table and compare the full strings.
   const auto suite = mini_suite();
   PipelineConfig cfg;
-  cfg.atpg.final_effort_backtracks = 500;
   cfg.run_baseline = false;
 
   const auto render = [&](const std::vector<GenerateCompactReport>& reports) {

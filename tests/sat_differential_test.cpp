@@ -82,7 +82,7 @@ TEST(SatDifferential, FastCorpusAgreesWithPodem) {
       FrameModel proof(compiled, fault, kDepth);
       proof.set_state_assignable(true);
       const PodemResult pr = run_podem(proof, PodemGoal::ScanObserve, {kPodemBacktracks, {}});
-      const bool podem_proved_redundant =
+      const bool podem_exhausted =
           !pr.success && !pr.aborted && pr.backtracks <= kPodemBacktracks;
 
       sat::SatEngineOptions sopt;
@@ -95,13 +95,13 @@ TEST(SatDifferential, FastCorpusAgreesWithPodem) {
         continue;
       }
       if (sr.verdict == sat::SatVerdict::Testable) {
-        EXPECT_FALSE(podem_proved_redundant)
+        EXPECT_FALSE(podem_exhausted)
             << "SAT found a test for a fault PODEM proved redundant";
         expect_replay_detects(compiled, fault, sr);
       } else {  // RedundantProved
         EXPECT_FALSE(pr.success) << "SAT proved UNSAT-at-depth a fault PODEM detects";
       }
-      if (pr.success || podem_proved_redundant)
+      if (pr.success || podem_exhausted)
         ++compared;
       else
         ++podem_open;  // PODEM budget ran out: SAT's complete answer stands alone

@@ -67,7 +67,7 @@ TEST_P(FuzzSatVerdict, AgreesWithPodemOnRandomCircuits) {
     FrameModel proof(compiled, fault, 1);
     proof.set_state_assignable(true);
     const PodemResult pr = run_podem(proof, PodemGoal::ScanObserve, {kBacktracks, {}});
-    const bool podem_proved = !pr.success && !pr.aborted && pr.backtracks <= kBacktracks;
+    const bool podem_exhausted = !pr.success && !pr.aborted && pr.backtracks <= kBacktracks;
 
     sat::SatEngineOptions sopt;
     sopt.frames = 1;
@@ -78,7 +78,7 @@ TEST_P(FuzzSatVerdict, AgreesWithPodemOnRandomCircuits) {
     if (pr.success) {
       ASSERT_EQ(sr.verdict, sat::SatVerdict::Testable)
           << "PODEM found a test the SAT miter calls unsatisfiable";
-    } else if (podem_proved) {
+    } else if (podem_exhausted) {
       ASSERT_EQ(sr.verdict, sat::SatVerdict::RedundantProved)
           << "PODEM exhausted the space but SAT reports a test";
     }
