@@ -68,7 +68,7 @@ RedundancyReport classify_faults(const ScanCircuit& sc, std::span<const Fault> f
       if (cls == FaultClass::Testable) continue;
       if (cls == FaultClass::Redundant) {
         if (options.sat_mode == SatMode::CrossCheck) {
-          ++report.sat.cross_checks;
+          ++report.cross_checks;
           const sat::SatResult sr = engine.prove(faults[i], sopt);
           if (sr.verdict == sat::SatVerdict::Testable) ++report.sat.mismatches;
         }

@@ -62,6 +62,9 @@ struct RedundancyReport {
   /// `RedundancyOptions::sat_mode == SatMode::Off`). The counters above
   /// reflect the FINAL classes, after any SAT upgrades.
   SatSummary sat;
+  /// PODEM Redundant claims re-proved by the SAT engine (CrossCheck only);
+  /// a claim the solver refutes counts in `sat.mismatches`.
+  std::uint64_t cross_checks = 0;
 };
 
 /// Classify every fault in `faults` (usually the subset a generator left

@@ -98,8 +98,7 @@ std::string format_sat_summary(SatMode mode, const SatSummary& s) {
   std::ostringstream os;
   os << "sat[" << sat_mode_name(mode) << "]: attempts=" << s.attempts
      << " detected=" << s.detected << " proved_redundant=" << s.proved_redundant
-     << " aborted=" << s.aborted << " cross_checks=" << s.cross_checks
-     << " mismatches=" << s.mismatches;
+     << " aborted=" << s.aborted << " mismatches=" << s.mismatches;
   return os.str();
 }
 

@@ -118,7 +118,7 @@ TEST(Redundancy, SatCrossCheckConfirmsPodemProofs) {
   opt.sat_mode = SatMode::CrossCheck;
   const RedundancyReport r = classify_faults(sc, faults, opt);
   EXPECT_EQ(r.classes[0], FaultClass::Redundant);
-  EXPECT_GT(r.sat.cross_checks, 0u);
+  EXPECT_GT(r.cross_checks, 0u);
   EXPECT_EQ(r.sat.mismatches, 0u);
 }
 
